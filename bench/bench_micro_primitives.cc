@@ -15,6 +15,7 @@
 #include "crypto/keys.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 #include "crypto/vrf.h"
 #include "state/statedb.h"
 #include "txpool/txpool.h"
@@ -23,15 +24,28 @@ namespace {
 
 using namespace shardchain;
 
-void BM_Sha256(benchmark::State& state) {
+// Hashing benches come in scalar/dispatched pairs: `scalar` runs the
+// portable compression, `dispatched` the one the library selected for
+// this CPU (printed as the sha256_compression context line).
+void BM_Sha256(benchmark::State& state,
+               sha256_internal::CompressFn compress) {
   const std::string data(static_cast<size_t>(state.range(0)), 'x');
+  const auto* bytes = reinterpret_cast<const uint8_t*>(data.data());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256Digest(data));
+    benchmark::DoNotOptimize(
+        sha256_internal::DigestWith(compress, bytes, data.size()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, scalar, &sha256_internal::CompressScalar)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, dispatched, sha256_internal::SelectedCompress())
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(65536);
 
 void BM_LamportSign(benchmark::State& state) {
   KeyPair kp = KeyPair::FromSeed(1);
@@ -42,15 +56,37 @@ void BM_LamportSign(benchmark::State& state) {
 }
 BENCHMARK(BM_LamportSign);
 
-void BM_LamportVerify(benchmark::State& state) {
+/// `Verify` (crypto/keys.cc) with the compression made explicit: one
+/// single-block digest per revealed preimage.
+bool VerifyWith(sha256_internal::CompressFn compress, const PublicKey& pk,
+                const Hash256& message_digest, const Signature& sig) {
+  for (int i = 0; i < 256; ++i) {
+    const Hash256& pre = sig.preimages[i];
+    if (sha256_internal::DigestWith(compress, pre.bytes.data(),
+                                    pre.bytes.size()) !=
+        pk.hashes[i][DigestBit(message_digest, i)]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void BM_LamportVerify(benchmark::State& state,
+                      sha256_internal::CompressFn compress) {
   KeyPair kp = KeyPair::FromSeed(2);
   const Hash256 msg = Sha256Digest("message");
   const Signature sig = kp.Sign(msg);
+  if (VerifyWith(compress, kp.public_key(), msg, sig) !=
+      Verify(kp.public_key(), msg, sig)) {
+    state.SkipWithError("VerifyWith disagrees with Verify");
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Verify(kp.public_key(), msg, sig));
+    benchmark::DoNotOptimize(VerifyWith(compress, kp.public_key(), msg, sig));
   }
 }
-BENCHMARK(BM_LamportVerify);
+BENCHMARK_CAPTURE(BM_LamportVerify, scalar, &sha256_internal::CompressScalar);
+BENCHMARK_CAPTURE(BM_LamportVerify, dispatched,
+                  sha256_internal::SelectedCompress());
 
 void BM_VrfEvaluate(benchmark::State& state) {
   KeyPair kp = KeyPair::FromSeed(3);
@@ -143,4 +179,12 @@ BENCHMARK(BM_MergingGame)->Arg(8)->Arg(64);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("sha256_compression",
+                              sha256_internal::SelectedCompressName());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

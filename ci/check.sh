@@ -5,7 +5,9 @@
 #   1. Release build with -Werror, full ctest (includes the detlint,
 #      parlint, flowlint, and codeclint static scans), then a blocking
 #      lint step that re-runs all four linters with --check-waivers and
-#      writes JSON + SARIF reports into <dir>/lint-reports/.
+#      writes JSON + SARIF reports into <dir>/lint-reports/, then the
+#      SHA-256 dispatch check (SHA-NI must be selected where the CPU
+#      has it).
 #   2. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer,
 #      full ctest (exercises the determinism harness under sanitizers)
 #      plus the same blocking lint step.
@@ -116,9 +118,27 @@ run_matrix_leg() {
   run_lint_step "$dir"
 }
 
+# SHA-256 dispatch check: prints the compression the library selected
+# (DESIGN.md §2). A CPU that lists sha_ni must get the SHA-NI rounds,
+# so a silent fallback to the scalar rounds cannot pass unnoticed.
+check_sha256_dispatch() {
+  local dir="$1" selected
+  echo "==== sha256 dispatch $dir ===="
+  selected="$("$dir/tests/shardchain_tests" \
+    --gtest_filter=Sha256DispatchTest.ReportsSelectedCompression |
+    sed -n 's/^sha256 compression: //p')"
+  echo "sha256 compression: ${selected:-<not reported>}"
+  if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
+     [ "$selected" != "sha-ni" ]; then
+    echo "FAIL: /proc/cpuinfo lists sha_ni but '$selected' was selected" >&2
+    exit 1
+  fi
+}
+
 run_matrix_leg "$prefix-release" \
   -DCMAKE_BUILD_TYPE=Release \
   -DSHARDCHAIN_WERROR=ON
+check_sha256_dispatch "$prefix-release"
 
 run_matrix_leg "$prefix-asan" \
   -DCMAKE_BUILD_TYPE=Debug \

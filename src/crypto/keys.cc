@@ -8,8 +8,9 @@ namespace shardchain {
 
 namespace {
 
-/// Each Verify hashes 8 KiB of preimages; a few per chunk amortizes
-/// dispatch (same grain reasoning as kVrfGrain in vrf.cc).
+/// Each Verify costs 256 SHA-256 compressions, one per revealed
+/// 32-byte preimage; a few per chunk amortizes dispatch (same grain
+/// reasoning as kVrfGrain in vrf.cc).
 constexpr size_t kVerifyGrain = 4;
 
 }  // namespace

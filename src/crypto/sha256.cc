@@ -1,12 +1,22 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+
+#include "crypto/sha256_internal.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace shardchain {
 
+namespace sha256_internal {
+
 namespace {
 
-constexpr uint32_t kRoundConstants[64] = {
+alignas(16) constexpr uint32_t kRoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -19,68 +29,207 @@ constexpr uint32_t kRoundConstants[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+constexpr uint32_t kInitialState[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                       0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                       0x1f83d9ab, 0x5be0cd19};
+
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+/// Big-endian stores, written as one byte-swapped word so the digest
+/// and length field do not cost a loop of byte shifts per hash.
+template <typename Word>
+void StoreBigEndian(uint8_t* out, Word v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(Word) == 4) {
+      v = __builtin_bswap32(v);
+    } else {
+      v = __builtin_bswap64(v);
+    }
+  }
+  std::memcpy(out, &v, sizeof(v));
+}
+
+/// Appends the FIPS 180-4 §5.1.1 padding to the `len`-byte tail in
+/// `block` (a 64-byte buffer) and compresses it: one block when the
+/// tail leaves room for the 8-byte length, two otherwise.
+void PadAndCompress(CompressFn compress, uint32_t state[8], uint8_t* block,
+                    size_t len, uint64_t total_len) {
+  block[len++] = 0x80;
+  if (len > 56) {
+    std::memset(block + len, 0, 64 - len);
+    compress(state, block, 1);
+    len = 0;
+  }
+  std::memset(block + len, 0, 56 - len);
+  StoreBigEndian<uint64_t>(block + 56, total_len * 8);
+  compress(state, block, 1);
+}
+
+Hash256 DigestOf(const uint32_t state[8]) {
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) {
+    StoreBigEndian<uint32_t>(out.bytes.data() + 4 * i, state[i]);
+  }
+  return out;
+}
 
 }  // namespace
 
-Sha256::Sha256() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+void CompressScalar(uint32_t state[8], const uint8_t* data, size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[i * 4]) << 24) |
+             (static_cast<uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+#if defined(__x86_64__)
+// The target attribute enables the SHA extensions for this function
+// only, so the rest of the binary still runs on any x86-64 CPU.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* data, size_t nblocks) {
+  // Message words are big-endian; this shuffle byte-swaps each lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // sha256rnds2 keeps the eight working variables as two vectors,
+  // ABEF and CDGH (most significant lane first).
+  const __m128i dcba =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<__m128i*>(state)),
+                        0xB1);  // lanes B A D C
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<__m128i*>(state + 4)),
+      0x1B);  // lanes H G F E
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // m[j & 3] holds message words 4j..4j+3 of the current group; the
+    // schedule extends them in place, four words per group.
+    __m128i m[4];
+    for (int j = 0; j < 4; ++j) {
+      m[j] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)),
+          byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      if (j >= 4) {
+        const __m128i w7 = _mm_alignr_epi8(m[(j + 3) & 3], m[(j + 2) & 3], 4);
+        m[j & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(m[j & 3], m[(j + 1) & 3]), w7),
+            m[(j + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          m[j & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants + 4 * j)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);  // lanes A B E F
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);  // lanes G H C D
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif  // __x86_64__
 
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
+bool CpuHasShaNi() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+#else
+  return false;
+#endif
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+CompressFn SelectedCompress() {
+  // Chosen once, on first use, so that hashing from another file's
+  // static initializer cannot see an unset pointer. Both choices
+  // produce the same bytes (DESIGN.md §7).
+  static const CompressFn kCompress = [] {
+#if defined(__x86_64__)
+    if (CpuHasShaNi()) return &CompressShaNi;
+#endif
+    return &CompressScalar;
+  }();
+  return kCompress;
+}
+
+const char* SelectedCompressName() {
+  return SelectedCompress() == &CompressScalar ? "scalar" : "sha-ni";
+}
+
+Hash256 DigestWith(CompressFn compress, const uint8_t* data, size_t len) {
+  uint32_t state[8];
+  std::memcpy(state, kInitialState, sizeof(state));
+  const size_t full = len / 64;
+  if (full > 0) compress(state, data, full);
+  uint8_t block[64];
+  const size_t tail = len % 64;
+  if (tail > 0) std::memcpy(block, data + full * 64, tail);
+  PadAndCompress(compress, state, block, tail, len);
+  return DigestOf(state);
+}
+
+}  // namespace sha256_internal
+
+using sha256_internal::CompressFn;
+using sha256_internal::SelectedCompress;
+
+Sha256::Sha256() {
+  std::memcpy(state_, sha256_internal::kInitialState, sizeof(state_));
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  const CompressFn compress = SelectedCompress();
   total_len_ += len;
   if (buffer_len_ > 0) {
     const size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
@@ -89,14 +238,14 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
+      compress(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= 64) {
-    ProcessBlock(data);
-    data += 64;
-    len -= 64;
+  if (len >= 64) {
+    compress(state_, data, len / 64);
+    data += len - len % 64;
+    len %= 64;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);
@@ -111,42 +260,18 @@ void Sha256::Update(std::string_view data) {
 void Sha256::Update(const Bytes& data) { Update(data.data(), data.size()); }
 
 Hash256 Sha256::Finalize() {
-  const uint64_t bit_len = total_len_ * 8;
-  // Append 0x80, then zeros, then the 64-bit big-endian length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  total_len_ -= 1;  // Padding does not count toward the message length.
-  const uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-    total_len_ -= 1;
-  }
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(len_bytes, 8);
-
-  Hash256 out;
-  for (int i = 0; i < 8; ++i) {
-    out.bytes[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
-    out.bytes[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out.bytes[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out.bytes[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
-  return out;
+  sha256_internal::PadAndCompress(SelectedCompress(), state_, buffer_,
+                                  buffer_len_, total_len_);
+  return sha256_internal::DigestOf(state_);
 }
 
 Hash256 Sha256Digest(const uint8_t* data, size_t len) {
-  Sha256 h;
-  h.Update(data, len);
-  return h.Finalize();
+  return sha256_internal::DigestWith(SelectedCompress(), data, len);
 }
 
 Hash256 Sha256Digest(std::string_view data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finalize();
+  return Sha256Digest(reinterpret_cast<const uint8_t*>(data.data()),
+                      data.size());
 }
 
 Hash256 Sha256Digest(const Bytes& data) {
@@ -154,10 +279,10 @@ Hash256 Sha256Digest(const Bytes& data) {
 }
 
 Hash256 HashPair(const Hash256& a, const Hash256& b) {
-  Sha256 h;
-  h.Update(a.bytes.data(), a.bytes.size());
-  h.Update(b.bytes.data(), b.bytes.size());
-  return h.Finalize();
+  uint8_t block[64];
+  std::memcpy(block, a.bytes.data(), 32);
+  std::memcpy(block + 32, b.bytes.data(), 32);
+  return Sha256Digest(block, sizeof(block));
 }
 
 }  // namespace shardchain

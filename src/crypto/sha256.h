@@ -42,8 +42,10 @@ struct Hash256 {
 /// \brief Incremental SHA-256 (FIPS 180-4), implemented from scratch.
 ///
 /// Usage: `Sha256 h; h.Update(a); h.Update(b); Hash256 d = h.Finalize();`
-/// or the one-shot helpers below. Tested against the NIST vectors in
-/// tests/crypto_test.cc.
+/// or the one-shot helpers below. Compression runs on SHA-NI when the
+/// CPU has it and on portable scalar rounds otherwise, with identical
+/// output (crypto/sha256_internal.h). Tested against the NIST vectors
+/// in tests/crypto_test.cc and tests/sha256_dispatch_test.cc.
 class Sha256 {
  public:
   Sha256();
@@ -58,8 +60,6 @@ class Sha256 {
   Hash256 Finalize();
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

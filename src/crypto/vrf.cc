@@ -8,8 +8,9 @@ namespace shardchain {
 
 namespace {
 
-/// Lamport evaluate/verify hash ~16 KiB of key material per call, so a
-/// handful of identities per chunk already amortizes the dispatch.
+/// VrfEvaluate costs 130 SHA-256 compressions (seed digest plus the
+/// 8 KiB proof) and VrfVerify 386 (Verify's 256 on top), so a handful
+/// of identities per chunk already amortizes the dispatch.
 constexpr size_t kVrfGrain = 4;
 
 }  // namespace

@@ -68,6 +68,11 @@ std::vector<Status> TxPool::AddSignedBatch(
       out.push_back(Status::Unauthorized("bad transaction signature"));
       continue;
     }
+    // A genuine signature only authenticates the key's own account.
+    if (txs[i].sender != Address::FromHash(pks[i]->Fingerprint())) {
+      out.push_back(Status::Unauthorized("sender is not the signing key"));
+      continue;
+    }
     out.push_back(Add(txs[i]));
   }
   return out;

@@ -53,10 +53,13 @@ class TxPool {
       const std::vector<Transaction>& txs);
 
   /// Batch admission with signature verification: `sigs[i]` must be a
-  /// signature by `pks[i]` over `txs[i].SigningDigest()`. Signatures
-  /// are checked through crypto VerifyBatch (parallel when `pool` is
-  /// non-null); a bad signature rejects only its own transaction with
-  /// Unauthorized, the rest of the batch proceeds as in `AddBatch`.
+  /// signature by `pks[i]` over `txs[i].SigningDigest()`, and
+  /// `txs[i].sender` must be that key's account,
+  /// `Address::FromHash(pks[i]->Fingerprint())`. Signatures are checked
+  /// through crypto VerifyBatch (parallel when `pool` is non-null); a
+  /// bad signature or a sender the key does not own rejects only its
+  /// own transaction with Unauthorized, the rest of the batch proceeds
+  /// as in `AddBatch`.
   [[nodiscard]] std::vector<Status> AddSignedBatch(
       const std::vector<Transaction>& txs,
       const std::vector<const PublicKey*>& pks,

@@ -190,8 +190,9 @@ TEST(TxPoolSignedBatch, OneBadSignatureRejectsOnlyThatTx) {
   std::vector<Transaction> txs;
   std::vector<KeyPair> keys;
   for (int i = 0; i < 5; ++i) {
-    txs.push_back(RandTx(&rng, 10));
     keys.push_back(KeyPair::FromSeed(1000 + i));
+    txs.push_back(RandTx(&rng, 10));
+    txs.back().sender = Address::FromHash(keys[i].public_key().Fingerprint());
   }
   std::vector<Signature> sigs;
   std::vector<const PublicKey*> pks;
@@ -220,6 +221,31 @@ TEST(TxPoolSignedBatch, OneBadSignatureRejectsOnlyThatTx) {
     }
   }
   EXPECT_EQ(pool.Size(), 4u);
+}
+
+TEST(TxPoolSignedBatch, GenuineSignatureUnderForeignKeyIsRefused) {
+  Rng rng(18);
+  const KeyPair owner = KeyPair::FromSeed(2000);
+  const KeyPair intruder = KeyPair::FromSeed(2001);
+  Transaction own = RandTx(&rng, 10);
+  own.sender = Address::FromHash(owner.public_key().Fingerprint());
+  // Spends the owner's account, but is signed (validly) by another key.
+  Transaction stolen = RandTx(&rng, 10);
+  stolen.sender = own.sender;
+  const Signature own_sig = owner.Sign(own.SigningDigest());
+  const Signature stolen_sig = intruder.Sign(stolen.SigningDigest());
+  ASSERT_TRUE(Verify(intruder.public_key(), stolen.SigningDigest(),
+                     stolen_sig));
+
+  TxPool pool(/*capacity=*/64, /*chunk_capacity=*/8);
+  const std::vector<Status> got = pool.AddSignedBatch(
+      {own, stolen}, {&owner.public_key(), &intruder.public_key()},
+      {&own_sig, &stolen_sig}, /*pool=*/nullptr);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(got[0].ok()) << got[0].message();
+  EXPECT_TRUE(got[1].IsUnauthorized()) << got[1].message();
+  EXPECT_FALSE(pool.Contains(stolen.Id()));
+  EXPECT_EQ(pool.Size(), 1u);
 }
 
 TEST(TxPoolSignedBatch, SigningDigestIsDomainSeparatedFromId) {
