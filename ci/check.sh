@@ -173,14 +173,13 @@ echo "==== bench_churn_recovery (handoff verification gate) ===="
 (cd "$prefix-release" && ./bench/bench_churn_recovery)
 echo "artifact: $prefix-release/BENCH_churn.json"
 
-# Parallel in-block execution bench. Also a correctness gate: it aborts
-# unless the lane-scheduled parallel build is byte-identical to the
-# serial build in every (conflict density, threads) cell (DESIGN.md
-# §13). Speedup > 1x needs multi-core hardware; the JSON records
-# hardware_concurrency. Artifact: BENCH_exec.json.
-echo "==== bench_exec_parallel (serial/parallel identity gate) ===="
-(cd "$prefix-release" && ./bench/bench_exec_parallel)
-echo "artifact: $prefix-release/BENCH_exec.json"
+# End-to-end benchmark self-test at toy scale: every workload runs
+# signed submit → verify → route → mine → confirm with its signature,
+# block and conservation gates, and a corrupted signature and a
+# tampered block must each fail the run. It builds its own tree
+# (.bench_build/) from the library sources.
+echo "==== perfbench selftest (end-to-end gates, toy scale) ===="
+python3 perfbench/tests/selftest.py
 
 # Million-tx mempool/pipeline bench. Also a correctness gate: it aborts
 # unless the pipelined drain is byte-identical to the serial mine loop

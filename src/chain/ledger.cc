@@ -4,8 +4,6 @@
 #include <cassert>
 #include <set>
 
-#include "chain/parallel_exec.h"
-
 namespace shardchain {
 
 namespace {
@@ -77,6 +75,28 @@ Status Ledger::ExecuteTransactions(const std::vector<Transaction>& txs,
   }
   state->Mint(miner, config.block_reward);
   return Status::OK();
+}
+
+Result<std::vector<Transaction>> Ledger::PackTransactions(
+    std::vector<Transaction> candidates, const Address& miner,
+    const ChainConfig& config, StateDB* state) {
+  assert(state != nullptr);
+  ChainConfig no_reward = config;
+  no_reward.block_reward = 0;
+  std::vector<Transaction> included;
+  for (Transaction& tx : candidates) {
+    if (included.size() >= config.max_txs_per_block) break;
+    const size_t trial = state->Snapshot();
+    const std::vector<Transaction> single{tx};
+    if (ExecuteTransactions(single, miner, no_reward, state).ok()) {
+      SHARDCHAIN_RETURN_IF_ERROR(state->Commit(trial));
+      included.push_back(std::move(tx));
+    } else {
+      SHARDCHAIN_RETURN_IF_ERROR(state->RevertTo(trial));
+    }
+  }
+  state->Mint(miner, config.block_reward);
+  return included;
 }
 
 Status Ledger::Validate(const Block& block, const Node& parent) const {
@@ -162,41 +182,10 @@ Result<Block> Ledger::BuildBlock(const Address& miner,
   block.header.miner = miner;
   block.header.timestamp = timestamp;
 
-  StateDB scratch;
-  if (exec_pool_ != nullptr) {
-    // Conflict-aware parallel packing: non-conflicting candidates run
-    // concurrently on lanes and merge deterministically; inclusion and
-    // state are bitwise identical to the serial loop below.
-    std::vector<uint8_t> included;
-    SHARDCHAIN_ASSIGN_OR_RETURN(
-        scratch, ExecuteCandidatesParallel(
-                     tip.post_state, txs, miner, config_,
-                     config_.max_txs_per_block, exec_pool_, &included,
-                     /*stats=*/nullptr));
-    for (size_t i = 0; i < txs.size(); ++i) {
-      if (included[i] != 0) block.transactions.push_back(std::move(txs[i]));
-    }
-  } else {
-    // Greedily include executable transactions up to the block limit.
-    // Each candidate runs against a journaled revert point — committed
-    // if it executes, rolled back if not — so trying a transaction
-    // costs O(accounts it touches), not a copy of the whole state.
-    scratch = tip.post_state;
-    ChainConfig no_reward = config_;
-    no_reward.block_reward = 0;
-    for (Transaction& tx : txs) {
-      if (block.transactions.size() >= config_.max_txs_per_block) break;
-      const size_t trial = scratch.Snapshot();
-      const std::vector<Transaction> single{tx};
-      if (ExecuteTransactions(single, miner, no_reward, &scratch).ok()) {
-        SHARDCHAIN_RETURN_IF_ERROR(scratch.Commit(trial));
-        block.transactions.push_back(std::move(tx));
-      } else {
-        SHARDCHAIN_RETURN_IF_ERROR(scratch.RevertTo(trial));
-      }
-    }
-  }
-  scratch.Mint(miner, config_.block_reward);
+  StateDB scratch = tip.post_state;
+  SHARDCHAIN_ASSIGN_OR_RETURN(
+      block.transactions,
+      PackTransactions(std::move(txs), miner, config_, &scratch));
 
   block.header.tx_root = block.ComputeTxRoot();
   block.header.state_root = scratch.StateRoot();

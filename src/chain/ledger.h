@@ -16,8 +16,6 @@
 
 namespace shardchain {
 
-class ThreadPool;
-
 /// \brief Chain-level parameters.
 struct ChainConfig {
   Amount block_reward = 2'000'000'000;  ///< Paid per block, empty or not.
@@ -73,31 +71,17 @@ class Ledger {
   [[nodiscard]] Result<Hash256> AppendExecuted(const Block& block,
                                               StateDB post_state);
 
-  /// Convenience: builds a valid block on the current tip from `txs`
-  /// (truncated to max_txs_per_block), executing them to fill in the
-  /// roots. Transactions that fail execution are skipped, mirroring a
-  /// miner dropping invalid txs while packing. Does not append. Fails
-  /// only on internal invariant violations (snapshot bracket errors,
-  /// a journal escaping its derived footprint) — never on individual
-  /// invalid candidates.
-  ///
-  /// With no exec pool installed, candidates execute serially against a
-  /// journaled revert point on one shared scratch state (no
-  /// per-transaction StateDB copy). With SetExecPool, non-conflicting
-  /// candidates execute concurrently on conflict-graph lanes against
-  /// forked COW views and merge deterministically
-  /// (chain/parallel_exec.h) — the block bytes, inclusion decisions,
-  /// and state root are bitwise identical either way. The executed
-  /// post-state is retained so Append of the freshly built block skips
-  /// re-execution and the second StateRoot() derivation.
+  /// Convenience: builds a valid block on the current tip, packing
+  /// `txs` with PackTransactions and filling in the roots.
+  /// Transactions that fail execution are skipped, mirroring a miner
+  /// dropping invalid txs while packing. Does not append. Fails only on
+  /// internal invariant violations (snapshot bracket errors) — never on
+  /// individual invalid candidates. The executed post-state is retained
+  /// so Append of the freshly built block skips re-execution and the
+  /// second StateRoot() derivation.
   [[nodiscard]] Result<Block> BuildBlock(const Address& miner,
                                          std::vector<Transaction> txs,
                                          uint64_t timestamp) const;
-
-  /// Installs the thread pool BuildBlock uses for conflict-aware
-  /// parallel candidate execution (nullptr = serial greedy loop).
-  /// Never consensus-visible.
-  void SetExecPool(ThreadPool* pool) { exec_pool_ = pool; }
 
   bool Contains(const Hash256& block_hash) const;
   const Block* Find(const Hash256& block_hash) const;
@@ -141,6 +125,18 @@ class Ledger {
       const std::vector<Transaction>& txs, const Address& miner,
       const ChainConfig& config, StateDB* state);
 
+  /// The block-packing rule, shared by BuildBlock and BlockPipeline:
+  /// walks `candidates` in order, keeps each one that executes on
+  /// `state`, stops at config.max_txs_per_block, then credits the block
+  /// reward. Each candidate runs against a journaled revert point on
+  /// `state` itself — committed if it executes, rolled back if not — so
+  /// a trial costs O(accounts it touches), not a copy of the whole
+  /// state. Returns the included transactions in candidate order; fails
+  /// only when a snapshot bracket does.
+  [[nodiscard]] static Result<std::vector<Transaction>> PackTransactions(
+      std::vector<Transaction> candidates, const Address& miner,
+      const ChainConfig& config, StateDB* state);
+
  private:
   struct Node {
     Block block;
@@ -159,7 +155,6 @@ class Ledger {
   /// change of the const BuildBlock.
   mutable std::optional<std::pair<Hash256, StateDB>> last_built_;
 
-  ThreadPool* exec_pool_ = nullptr;
   ShardId shard_id_;
   ChainConfig config_;
   Hash256 genesis_hash_;

@@ -26,8 +26,6 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   PipelineResult result;
   if (count == 0) return result;
   const ChainConfig& config = ledger_->config();
-  ChainConfig no_reward = config;
-  no_reward.block_reward = 0;
 
   // Stage-local states. exec_state is the selector/executor's working
   // copy; commit_state is the worker's shadow replica. Both copies
@@ -52,24 +50,14 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
       std::vector<Transaction> candidates =
           pool_->TopByFee(config.max_txs_per_block);
 
-      // Greedy inclusion — the same per-candidate snapshot bracket as
-      // Ledger::BuildBlock's serial path, against exec_state in place.
+      // Greedy inclusion — Ledger's packing rule, run against
+      // exec_state in place inside a delta-collection bracket.
       // parlint:allow(unbalanced-snapshot): delta-collection bracket, always committed, never reverted
       const size_t outer = exec_state.Snapshot();
       std::vector<Transaction> included;
-      for (Transaction& tx : candidates) {
-        if (included.size() >= config.max_txs_per_block) break;
-        const size_t trial = exec_state.Snapshot();
-        const std::vector<Transaction> single{tx};
-        if (Ledger::ExecuteTransactions(single, miner, no_reward, &exec_state)
-                .ok()) {
-          SHARDCHAIN_RETURN_IF_ERROR(exec_state.Commit(trial));
-          included.push_back(std::move(tx));
-        } else {
-          SHARDCHAIN_RETURN_IF_ERROR(exec_state.RevertTo(trial));
-        }
-      }
-      exec_state.Mint(miner, config.block_reward);
+      SHARDCHAIN_ASSIGN_OR_RETURN(
+          included, Ledger::PackTransactions(std::move(candidates), miner,
+                                             config, &exec_state));
 
       // Value-snapshot this block's account delta for the worker
       // (reverted trial writes have left the journal, so TouchedSince

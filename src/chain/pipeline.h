@@ -36,8 +36,8 @@ struct PipelineResult {
 /// two stages:
 ///
 ///  - the CALLING thread selects and greedily executes block N+1's
-///    candidates in place on a persistent execution state (the same
-///    journaled snapshot brackets as Ledger::BuildBlock's serial path),
+///    candidates in place on a persistent execution state
+///    (Ledger::PackTransactions, the packing rule BuildBlock uses),
 ///    then value-snapshots the block's account delta (TouchedSince);
 ///  - an AsyncWorker (parallel/async_worker.h) replays each delta onto
 ///    a shadow commit state, derives the state root, finalizes the
@@ -47,14 +47,14 @@ struct PipelineResult {
 /// Determinism argument (§14): selection/execution for block N+1 reads
 /// only the execution state and the pool — never the in-flight root —
 /// and the execution state's account contents after block N equal the
-/// serial path's tip post-state contents by induction (same greedy
-/// code, same inputs). The commit worker replays exactly the accounts
+/// serial path's tip post-state contents by induction (same packing
+/// function, same inputs). The commit worker replays exactly the accounts
 /// the journal recorded, so the shadow state's contents — and therefore
 /// the root, a pure function of contents (DESIGN.md §10) — match the
 /// serial path's. The worker is a single FIFO thread, so header
 /// chaining and append order are the submission order. Hence blocks are
 /// byte-identical to the serial loop at any queue depth
-/// (tests/pipeline_equivalence_test.cc pins this across thread counts).
+/// (tests/pipeline_equivalence_test.cc pins this across queue depths).
 ///
 /// The ledger and pool must not be accessed externally while Run() is
 /// in flight (Run itself is synchronous; the worker only touches state

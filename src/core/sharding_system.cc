@@ -277,9 +277,6 @@ ShardingSystem::ShardState& ShardingSystem::GetOrCreateShard(ShardId shard) {
     ShardState state;
     state.ledger =
         std::make_unique<Ledger>(shard, genesis_state_, config_.chain);
-    // Conflict-aware parallel block packing (DESIGN.md §13): block
-    // bytes stay identical to serial at any thread count.
-    state.ledger->SetExecPool(pool_.get());
     it = shards_.emplace(shard, std::move(state)).first;
   }
   return it->second;

@@ -1,11 +1,8 @@
 // Golden-vector pinning of built blocks: five fixed block-building
 // scenarios whose encoded block bytes and state roots are committed as
-// hex snapshots under tests/vectors/block{0..4}.hex. Each scenario is
-// built twice — serially and with a 3-thread exec pool — and asserts
-// bitwise identity between the two before comparing against the pinned
-// snapshot, so the vectors gate both the codec/execution semantics and
-// the conflict-aware parallel builder at once (DESIGN.md §13). A
-// shifted byte here is a consensus fork in deployment.
+// hex snapshots under tests/vectors/block{0..4}.hex, so the vectors gate
+// the codec, the execution semantics, and the block-packing rule at
+// once. A shifted byte here is a consensus fork in deployment.
 //
 // Regenerate deliberately with:
 //   SHARDCHAIN_REGEN_VECTORS=1 ./shardchain_tests
@@ -22,7 +19,6 @@
 #include "common/hex.h"
 #include "contract/registry.h"
 #include "contract/vm.h"
-#include "parallel/thread_pool.h"
 #include "types/codec.h"
 
 namespace shardchain {
@@ -142,27 +138,14 @@ void CheckScenario(int k) {
   const BlockScenario s = Scenario(k);
   const Address miner = Addr(0x99);
 
-  Ledger serial_ledger(1, s.genesis, s.config);
-  Result<Block> serial_built =
-      serial_ledger.BuildBlock(miner, s.txs, /*timestamp=*/7);
-  ASSERT_TRUE(serial_built.ok()) << serial_built.status().ToString();
+  Ledger ledger(1, s.genesis, s.config);
+  Result<Block> built = ledger.BuildBlock(miner, s.txs, /*timestamp=*/7);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  // Parallel build must be bitwise identical before the snapshot even
-  // enters the picture.
-  ThreadPool pool(3);
-  Ledger parallel_ledger(1, s.genesis, s.config);
-  parallel_ledger.SetExecPool(&pool);
-  Result<Block> parallel_built =
-      parallel_ledger.BuildBlock(miner, s.txs, /*timestamp=*/7);
-  ASSERT_TRUE(parallel_built.ok()) << parallel_built.status().ToString();
-  ASSERT_EQ(codec::EncodeBlock(*parallel_built),
-            codec::EncodeBlock(*serial_built))
-      << "serial and parallel builds diverged for block scenario " << k;
-
-  const std::string block_hex = HexEncode(codec::EncodeBlock(*serial_built));
+  const std::string block_hex = HexEncode(codec::EncodeBlock(*built));
   const std::string root_hex =
-      HexEncode(serial_built->header.state_root.bytes.data(),
-                serial_built->header.state_root.bytes.size());
+      HexEncode(built->header.state_root.bytes.data(),
+                built->header.state_root.bytes.size());
 
   const std::string path = VectorPath(k);
   if (std::getenv("SHARDCHAIN_REGEN_VECTORS") != nullptr) {

@@ -197,6 +197,13 @@ TEST(LedgerTest, BuildBlockRespectsCapacityAndSkipsInvalid) {
   EXPECT_EQ(block.transactions.size(), 3u);
   for (const auto& tx : block.transactions) EXPECT_EQ(tx.sender, Addr(1));
   EXPECT_TRUE(ledger.Append(block).ok());
+  // The two valid candidates beyond the cap left no effect on the
+  // retained post-state, which a re-executing ledger reproduces.
+  EXPECT_EQ(ledger.tip_state().BalanceOf(Addr(2)), 1030u);
+  EXPECT_EQ(ledger.tip_state().NonceOf(Addr(1)), 3u);
+  Ledger shadow(1, FundedState(), config);
+  ASSERT_TRUE(shadow.Append(block).ok());
+  EXPECT_EQ(shadow.tip_state().StateRoot(), ledger.tip_state().StateRoot());
 }
 
 TEST(LedgerTest, NonceOrderEnforced) {

@@ -16,7 +16,7 @@
 
 #include "common/rng.h"
 #include "crypto/keys.h"
-#include "txpool/legacy_pool.h"
+#include "legacy_pool.h"
 #include "txpool/txpool.h"
 
 namespace shardchain {

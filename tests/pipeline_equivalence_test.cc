@@ -2,11 +2,11 @@
 // parallel, runs under the TSan CI leg): BlockPipeline must emit
 // byte-identical block encodings, state roots, and residual pool
 // contents to the serial select → build → append → remove loop, across
-// exec-pool thread counts {1, 2, 4, 8}, commit-queue depths {1, 2, 4},
-// and seeded workloads with fee ties, nonce chains, and invalid
-// candidates. Also units for the AsyncWorker pipelining primitive
-// (FIFO order, backpressure, error poisoning) and the crypto
-// VerifyBatch thread-count invariance (DESIGN.md §14).
+// commit-queue depths {1, 2, 4} and seeded workloads with fee ties,
+// nonce chains, and invalid candidates. Also units for the AsyncWorker
+// pipelining primitive (FIFO order, backpressure, error poisoning) and
+// the crypto VerifyBatch thread-count invariance {1, 2, 4, 8}
+// (DESIGN.md §14).
 
 #include <atomic>
 #include <chrono>
@@ -206,9 +206,8 @@ struct Outcome {
 constexpr size_t kBlocksToMine = 8;
 const Address kMiner = Addr(0xaa);
 
-Outcome MineSerial(const Scenario& s, ThreadPool* exec_pool) {
+Outcome MineSerial(const Scenario& s) {
   Ledger ledger(/*shard_id=*/3, s.genesis, s.config);
-  ledger.SetExecPool(exec_pool);
   TxPool pool(/*capacity=*/1 << 20, /*chunk_capacity=*/16);
   for (const Transaction& tx : s.txs) (void)pool.Add(tx);
   Outcome out;
@@ -248,19 +247,10 @@ Outcome MinePipelined(const Scenario& s, size_t queue_depth) {
 TEST(PipelineEquivalenceTest, BlockBytesMatchSerialAcrossThreadsAndDepths) {
   for (uint64_t seed = 0; seed < kNumSeeds; ++seed) {
     const Scenario s = MakeScenario(seed);
-    const Outcome reference = MineSerial(s, /*exec_pool=*/nullptr);
+    const Outcome reference = MineSerial(s);
     ASSERT_EQ(reference.blocks.size(), kBlocksToMine);
 
-    // The serial loop itself must be exec-pool invariant (PR 8)...
-    for (size_t threads : kThreadCounts) {
-      ThreadPool exec_pool(threads);
-      const Outcome with_pool = MineSerial(s, &exec_pool);
-      ASSERT_EQ(with_pool.blocks, reference.blocks)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(with_pool.root, reference.root);
-      ASSERT_EQ(with_pool.residual_pool, reference.residual_pool);
-    }
-    // ...and the pipeline must match it at every commit-queue depth.
+    // The pipeline must match the serial loop at every commit-queue depth.
     for (size_t depth : kQueueDepths) {
       const Outcome pipelined = MinePipelined(s, depth);
       ASSERT_EQ(pipelined.blocks, reference.blocks)
