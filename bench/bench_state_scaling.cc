@@ -1,22 +1,34 @@
-// State-commitment scaling (DESIGN.md §10): cost of the incremental
-// authenticated state vs the pre-incremental baseline, by account
-// count, for the three hot operations the chain performs per block:
+// State-commitment scaling (DESIGN.md §10): cost of the persistent
+// authenticated state — the trie whose leaves hold the accounts — vs a
+// state that copies every account, by account count, for the three hot
+// operations the chain performs per block:
 //
 //   root_update      — mutate a fixed number of accounts, re-derive the
 //                      state root. old: rebuild the whole trie with
-//                      fresh digests (O(n)); new: re-leaf only the
-//                      dirty accounts (O(dirty · depth)).
-//   snapshot_revert  — take a revert point, write, roll back. old:
-//                      full account-map copy out and back; new:
-//                      journaled undo log (O(writes)).
+//                      fresh digests (O(n)); new: re-hash only the
+//                      written spines (O(dirty · depth)).
+//   snapshot_revert  — take a revert point, write, roll back. old: copy
+//                      every account out and back (what a map-backed
+//                      state pays); new: Snapshot() keeps the root
+//                      handle and RevertTo() restores it (O(1); the
+//                      writes copy O(depth) nodes each).
 //   block_build      — pack a 10-tx block on a funded state. old:
-//                      per-candidate StateDB copy + from-scratch root;
-//                      new: journaled trials + incremental root.
+//                      per-candidate copy of every account + from-scratch
+//                      root; new: Ledger::BuildBlock (O(1) state copy,
+//                      snapshot trials, incremental root).
+//
+// Above kOldStyleMaxAccounts the old column is not run (minutes per
+// op) and is emitted as null. One more row, ledger_257, appends 257
+// blocks to a ledger over the largest state and reports the growth of
+// the process's peak resident memory (VmHWM): every ledger node keeps a
+// post-state, and structural sharing is what keeps that growth to the
+// blocks' writes instead of 257 copies of the state.
 //
 // The bench is also a correctness gate: before any timing, every
 // scenario asserts the incremental root is byte-identical to the
-// from-scratch rebuild (the consensus invariant the optimization must
-// preserve) and aborts on divergence.
+// from-scratch rebuild (the consensus invariant the representation
+// must preserve) and aborts on divergence. The timings and the memory
+// growth are reported, not gated.
 //
 // Emits BENCH_state.json into the working directory for CI artifact
 // collection.
@@ -24,7 +36,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,9 +55,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;  // detlint:allow(wall-clock): bench timing
 
-const size_t kAccountCounts[] = {100, 1000, 10000};
+const size_t kAccountCounts[] = {100, 1000, 10000, 100000, 1000000};
+constexpr size_t kOldStyleMaxAccounts = 100000;
 constexpr size_t kTouchedPerRoot = 64;  ///< Dirty accounts per root update.
 constexpr size_t kTouchedPerSnap = 16;  ///< Writes inside a snapshot span.
+constexpr size_t kTxsPerBlock = 10;
+constexpr int kLedgerBlocks = 257;
 constexpr double kMinSeconds = 0.2;
 
 Address BenchAddr(uint64_t n) {
@@ -58,19 +76,27 @@ Bytes AddressKey(const Address& addr) {
   return Bytes(addr.bytes.begin(), addr.bytes.end());
 }
 
-/// The pre-incremental StateRoot(): walk every account, recompute its
-/// digest (the old code had no digest cache), and build a fresh trie.
+/// The from-scratch StateRoot(): walk every account, recompute its
+/// digest, and build a fresh byte-valued trie of the digests.
 /// Byte-identical to StateDB::StateRoot() over the same contents — the
-/// identity gate below enforces exactly that.
+/// identity gates below enforce exactly that.
 Hash256 RootFromScratch(const StateDB& db) {
   MerklePatriciaTrie trie;
   for (const Address& addr : db.Addresses()) {
-    const Account* account = db.Find(addr);
-    account->MarkDigestDirty();
-    const Hash256 digest = account->Digest(addr);
+    const Hash256 digest = db.Find(addr)->Digest(addr);
     trie.Put(AddressKey(addr), Bytes(digest.bytes.begin(), digest.bytes.end()));
   }
   return trie.RootHash();
+}
+
+/// A copy sharing nothing with `db`: every account copied into a fresh
+/// state — the per-copy cost of a state that is not persistent.
+StateDB DeepCopy(const StateDB& db) {
+  StateDB copy;
+  for (const Address& addr : db.Addresses()) {
+    copy.ApplyAccount(addr, *db.Find(addr));
+  }
+  return copy;
 }
 
 StateDB FundedState(size_t accounts) {
@@ -101,22 +127,19 @@ double MeasureOpsPerSec(const std::function<uint64_t()>& op) {
 struct ScenarioResult {
   std::string scenario;
   size_t accounts = 0;
-  double old_ops_per_sec = 0.0;
+  std::optional<double> old_ops_per_sec;  ///< nullopt: not run.
   double new_ops_per_sec = 0.0;
-  double speedup = 0.0;
 };
 
 void Report(std::vector<ScenarioResult>* out, const std::string& scenario,
-            size_t accounts, double old_ops, double new_ops) {
-  ScenarioResult r;
-  r.scenario = scenario;
-  r.accounts = accounts;
-  r.old_ops_per_sec = old_ops;
-  r.new_ops_per_sec = new_ops;
-  r.speedup = old_ops > 0.0 ? new_ops / old_ops : 0.0;
-  out->push_back(r);
-  bench::Row({scenario, std::to_string(accounts), bench::Fmt(old_ops, 2),
-              bench::Fmt(new_ops, 2), bench::Fmt(r.speedup, 1) + "x"});
+            size_t accounts, std::optional<double> old_ops, double new_ops) {
+  out->push_back(ScenarioResult{scenario, accounts, old_ops, new_ops});
+  bench::Row({scenario, std::to_string(accounts),
+              old_ops ? bench::Fmt(*old_ops, 2) : "-",
+              bench::Fmt(new_ops, 2),
+              old_ops && *old_ops > 0.0
+                  ? bench::Fmt(new_ops / *old_ops, 1) + "x"
+                  : "-"});
 }
 
 [[noreturn]] void IdentityFailure(const char* scenario, size_t accounts) {
@@ -126,6 +149,8 @@ void Report(std::vector<ScenarioResult>* out, const std::string& scenario,
                scenario, accounts);
   std::exit(1);
 }
+
+bool OldStyleRuns(size_t accounts) { return accounts <= kOldStyleMaxAccounts; }
 
 // ------------------------- root_update --------------------------------
 
@@ -140,9 +165,10 @@ void BenchRootUpdate(size_t accounts, std::vector<ScenarioResult>* out) {
     cursor += 1;
   };
 
-  // Identity gate: after several mutation batches, the incremental
-  // root must equal the from-scratch rebuild, byte for byte.
-  for (int round = 0; round < 3; ++round) {
+  // Identity gate: after mutation batches, the incremental root must
+  // equal the from-scratch rebuild, byte for byte.
+  const int rounds = OldStyleRuns(accounts) ? 3 : 1;
+  for (int round = 0; round < rounds; ++round) {
     mutate_batch();
     if (db.StateRoot() != RootFromScratch(db)) {
       IdentityFailure("root_update", accounts);
@@ -153,10 +179,13 @@ void BenchRootUpdate(size_t accounts, std::vector<ScenarioResult>* out) {
     mutate_batch();
     return db.StateRoot().Prefix64();
   });
-  const double old_ops = MeasureOpsPerSec([&] {
-    mutate_batch();
-    return RootFromScratch(db).Prefix64();
-  });
+  std::optional<double> old_ops;
+  if (OldStyleRuns(accounts)) {
+    old_ops = MeasureOpsPerSec([&] {
+      mutate_batch();
+      return RootFromScratch(db).Prefix64();
+    });
+  }
   Report(out, "root_update", accounts, old_ops, new_ops);
 }
 
@@ -176,13 +205,15 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
     const size_t snap = db.Snapshot();
     touch(&db);
     if (!db.RevertTo(snap).ok() || db.StateRoot() != base_root) {
-      IdentityFailure("snapshot_revert(journal)", accounts);
+      IdentityFailure("snapshot_revert(root handle)", accounts);
     }
-    StateDB backup = db;
-    touch(&db);
-    db = backup;
-    if (db.StateRoot() != base_root) {
-      IdentityFailure("snapshot_revert(copy)", accounts);
+    if (OldStyleRuns(accounts)) {
+      const StateDB backup = DeepCopy(db);
+      touch(&db);
+      db = DeepCopy(backup);
+      if (db.StateRoot() != base_root) {
+        IdentityFailure("snapshot_revert(copy)", accounts);
+      }
     }
   }
 
@@ -192,23 +223,28 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
     if (!db.RevertTo(snap).ok()) IdentityFailure("revert", accounts);
     return static_cast<uint64_t>(snap);
   });
-  const double old_ops = MeasureOpsPerSec([&] {
-    StateDB backup = db;  // The pre-journal Snapshot(): copy everything.
-    touch(&db);
-    db = backup;          // ...and RevertTo(): copy it all back.
-    return static_cast<uint64_t>(backup.AccountCount());
-  });
+  std::optional<double> old_ops;
+  if (OldStyleRuns(accounts)) {
+    old_ops = MeasureOpsPerSec([&] {
+      const StateDB backup = DeepCopy(db);  // Copy every account out...
+      touch(&db);
+      db = DeepCopy(backup);                // ...and back.
+      return static_cast<uint64_t>(backup.AccountCount());
+    });
+  }
   Report(out, "snapshot_revert", accounts, old_ops, new_ops);
 }
 
 // -------------------------- block_build -------------------------------
 
-std::vector<Transaction> BlockTxs(size_t accounts) {
+/// Transfers from senders [first, first + kTxsPerBlock), nonce 0, to
+/// the far half of the state.
+std::vector<Transaction> BlockTxs(size_t accounts, uint64_t first) {
   std::vector<Transaction> txs;
-  for (uint64_t i = 0; i < 10; ++i) {
+  for (uint64_t i = first; i < first + kTxsPerBlock; ++i) {
     Transaction tx;
     tx.kind = TxKind::kDirectTransfer;
-    tx.sender = BenchAddr(i);
+    tx.sender = BenchAddr(i % accounts);
     tx.recipient = BenchAddr((i + accounts / 2) % accounts);
     tx.value = 10 + i;
     tx.fee = 2;
@@ -218,18 +254,18 @@ std::vector<Transaction> BlockTxs(size_t accounts) {
   return txs;
 }
 
-/// The pre-journal BuildBlock inner loop: every candidate transaction
-/// executes on a full copy of the scratch state, and the final root is
-/// a from-scratch rebuild.
+/// The copy-everything BuildBlock: every candidate transaction executes
+/// on its own copy of every account, and the final root is a
+/// from-scratch rebuild.
 Hash256 OldStyleBuild(const Ledger& ledger, const Address& miner,
                       const std::vector<Transaction>& txs) {
-  StateDB scratch = ledger.tip_state();
+  StateDB scratch = DeepCopy(ledger.tip_state());
   ChainConfig no_reward = ledger.config();
   no_reward.block_reward = 0;
   size_t included = 0;
   for (const Transaction& tx : txs) {
     if (included >= ledger.config().max_txs_per_block) break;
-    StateDB trial = scratch;
+    StateDB trial = DeepCopy(scratch);
     if (Ledger::ExecuteTransactions({tx}, miner, no_reward, &trial).ok()) {
       scratch = std::move(trial);
       ++included;
@@ -239,25 +275,94 @@ Hash256 OldStyleBuild(const Ledger& ledger, const Address& miner,
   return RootFromScratch(scratch);
 }
 
+/// The block's post-state root, derived from scratch: the txs executed
+/// in order on the tip state, then a from-scratch rebuild.
+Hash256 ExecutedRootFromScratch(const Ledger& ledger, const Address& miner,
+                                const std::vector<Transaction>& txs) {
+  StateDB post = ledger.tip_state();
+  if (!Ledger::ExecuteTransactions(txs, miner, ledger.config(), &post).ok()) {
+    return Hash256::Zero();
+  }
+  return RootFromScratch(post);
+}
+
 void BenchBlockBuild(size_t accounts, std::vector<ScenarioResult>* out) {
   Ledger ledger(1, FundedState(accounts));
   const Address miner = BenchAddr(accounts - 1);
-  const std::vector<Transaction> txs = BlockTxs(accounts);
+  const std::vector<Transaction> txs = BlockTxs(accounts, 0);
 
-  // Identity gate: the journaled build must commit to the same root as
-  // the copy-everything build.
+  // Identity gate: the built block must commit to the from-scratch root
+  // of its executed post-state (and, where it runs, the copy-everything
+  // build must agree).
   Result<Block> built = ledger.BuildBlock(miner, txs, /*timestamp=*/1);
   if (!built.ok() || built->transactions.size() != txs.size() ||
-      built->header.state_root != OldStyleBuild(ledger, miner, txs)) {
+      built->header.state_root !=
+          ExecutedRootFromScratch(ledger, miner, txs) ||
+      (OldStyleRuns(accounts) &&
+       built->header.state_root != OldStyleBuild(ledger, miner, txs))) {
     IdentityFailure("block_build", accounts);
   }
 
   const double new_ops = MeasureOpsPerSec([&] {
     return ledger.BuildBlock(miner, txs, 1)->header.state_root.Prefix64();
   });
-  const double old_ops = MeasureOpsPerSec(
-      [&] { return OldStyleBuild(ledger, miner, txs).Prefix64(); });
+  std::optional<double> old_ops;
+  if (OldStyleRuns(accounts)) {
+    old_ops = MeasureOpsPerSec(
+        [&] { return OldStyleBuild(ledger, miner, txs).Prefix64(); });
+  }
   Report(out, "block_build", accounts, old_ops, new_ops);
+}
+
+// -------------------------- ledger_257 --------------------------------
+
+double PeakRssMiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+struct LedgerGrowth {
+  size_t accounts = 0;
+  double hwm_before_mib = 0.0;
+  double hwm_after_mib = 0.0;
+};
+
+/// Appends kLedgerBlocks full blocks to a ledger over `accounts` funded
+/// accounts and reports VmHWM before and after. Runs first, so the
+/// high-water mark before is the genesis ledger's own.
+LedgerGrowth BenchLedgerGrowth(size_t accounts) {
+  LedgerGrowth growth;
+  growth.accounts = accounts;
+  Ledger ledger(1, FundedState(accounts));
+  const Address miner = BenchAddr(accounts - 1);
+  growth.hwm_before_mib = PeakRssMiB();
+  for (int b = 0; b < kLedgerBlocks; ++b) {
+    const std::vector<Transaction> txs =
+        BlockTxs(accounts, static_cast<uint64_t>(b) * kTxsPerBlock);
+    Result<Block> built =
+        ledger.BuildBlock(miner, txs, static_cast<uint64_t>(b) + 1);
+    if (!built.ok() || built->transactions.size() != txs.size() ||
+        !ledger.Append(*built).ok()) {
+      IdentityFailure("ledger_257", accounts);
+    }
+  }
+  // Identity gate on the final tip (after the measurement, which a
+  // from-scratch rebuild's allocations would otherwise cloud).
+  growth.hwm_after_mib = PeakRssMiB();
+  if (ledger.tip_state().StateRoot() != RootFromScratch(ledger.tip_state())) {
+    IdentityFailure("ledger_257", accounts);
+  }
+  bench::Row({"ledger_257", std::to_string(accounts), "VmHWM MiB",
+              bench::Fmt(growth.hwm_before_mib, 1) + "->" +
+                  bench::Fmt(growth.hwm_after_mib, 1),
+              bench::Fmt(growth.hwm_after_mib - growth.hwm_before_mib, 1)});
+  return growth;
 }
 
 }  // namespace
@@ -268,8 +373,12 @@ int main() {
 
   bench::Banner(
       "BENCH state scaling (DESIGN.md §10)",
-      "incremental authenticated state: root update O(dirty*depth) not "
-      "O(n); snapshots journaled not copied; roots byte-identical");
+      "persistent authenticated state: root update O(dirty*depth) not "
+      "O(n); snapshots and copies are root handles; roots byte-identical");
+
+  const size_t largest = kAccountCounts[std::size(kAccountCounts) - 1];
+  const LedgerGrowth growth = BenchLedgerGrowth(largest);
+  std::printf("\n");
 
   std::vector<ScenarioResult> results;
   for (const size_t accounts : kAccountCounts) {
@@ -294,12 +403,26 @@ int main() {
     bench::Json row = bench::Json::Object();
     row.Set("scenario", bench::Json::Str(r.scenario));
     row.Set("accounts", bench::Json::Int(static_cast<int64_t>(r.accounts)));
-    row.Set("old_ops_per_sec", bench::Json::Num(r.old_ops_per_sec));
+    row.Set("old_ops_per_sec", r.old_ops_per_sec
+                                   ? bench::Json::Num(*r.old_ops_per_sec)
+                                   : bench::Json::Null());
     row.Set("new_ops_per_sec", bench::Json::Num(r.new_ops_per_sec));
-    row.Set("speedup", bench::Json::Num(r.speedup));
+    row.Set("speedup", r.old_ops_per_sec && *r.old_ops_per_sec > 0.0
+                           ? bench::Json::Num(r.new_ops_per_sec /
+                                              *r.old_ops_per_sec)
+                           : bench::Json::Null());
     arr.Push(std::move(row));
   }
   doc.Set("results", std::move(arr));
+  bench::Json ledger = bench::Json::Object();
+  ledger.Set("accounts", bench::Json::Int(static_cast<int64_t>(growth.accounts)));
+  ledger.Set("blocks", bench::Json::Int(kLedgerBlocks));
+  ledger.Set("txs_per_block", bench::Json::Int(static_cast<int64_t>(kTxsPerBlock)));
+  ledger.Set("vm_hwm_before_mib", bench::Json::Num(growth.hwm_before_mib));
+  ledger.Set("vm_hwm_after_mib", bench::Json::Num(growth.hwm_after_mib));
+  ledger.Set("vm_hwm_growth_mib",
+             bench::Json::Num(growth.hwm_after_mib - growth.hwm_before_mib));
+  doc.Set("ledger_257", std::move(ledger));
   const std::string path = "BENCH_state.json";
   if (!bench::WriteJsonFile(path, doc)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());

@@ -13,7 +13,8 @@ namespace shardchain::bench {
 
 /// \brief Minimal JSON document builder for machine-readable benchmark
 /// artifacts (BENCH_*.json). Supports exactly what the harnesses emit:
-/// objects with ordered keys, arrays, strings, numbers, and booleans.
+/// objects with ordered keys, arrays, strings, numbers, booleans, and
+/// null (a value not measured).
 class Json {
  public:
   static Json Object() { return Json(Kind::kObject); }
@@ -38,6 +39,7 @@ class Json {
     j.bool_ = b;
     return j;
   }
+  static Json Null() { return Json(Kind::kNull); }
 
   /// Object member (insertion order preserved).
   Json& Set(const std::string& key, Json value) {
@@ -57,7 +59,7 @@ class Json {
   }
 
  private:
-  enum class Kind { kObject, kArray, kString, kNumber, kInt, kBool };
+  enum class Kind { kObject, kArray, kString, kNumber, kInt, kBool, kNull };
   explicit Json(Kind kind) : kind_(kind) {}
 
   static void Escape(const std::string& s, std::string* out) {
@@ -93,6 +95,9 @@ class Json {
         break;
       case Kind::kBool:
         *out += bool_ ? "true" : "false";
+        break;
+      case Kind::kNull:
+        *out += "null";
         break;
       case Kind::kArray: {
         if (elements_.empty()) {

@@ -84,15 +84,37 @@ Result<std::vector<Transaction>> Ledger::PackTransactions(
   ChainConfig no_reward = config;
   no_reward.block_reward = 0;
   std::vector<Transaction> included;
-  for (Transaction& tx : candidates) {
-    if (included.size() >= config.max_txs_per_block) break;
-    const size_t trial = state->Snapshot();
-    const std::vector<Transaction> single{tx};
-    if (ExecuteTransactions(single, miner, no_reward, state).ok()) {
-      SHARDCHAIN_RETURN_IF_ERROR(state->Commit(trial));
-      included.push_back(std::move(tx));
-    } else {
-      SHARDCHAIN_RETURN_IF_ERROR(state->RevertTo(trial));
+  // Candidates run in place, in segments under one snapshot each. A
+  // candidate that fails ends its segment: the state reverts to the
+  // segment's start and the segment's included candidates run again.
+  // So a block takes one snapshot per failing candidate, not one per
+  // candidate, and re-runs each included candidate at most once.
+  auto next = candidates.begin();
+  while (next != candidates.end() &&
+         included.size() < config.max_txs_per_block) {
+    const size_t first = included.size();
+    const size_t segment = state->Snapshot();
+    bool failed = false;
+    for (; next != candidates.end() &&
+           included.size() < config.max_txs_per_block;
+         ++next) {
+      if (!ExecuteTransactions({*next}, miner, no_reward, state).ok()) {
+        failed = true;
+        ++next;
+        break;
+      }
+      included.push_back(std::move(*next));
+    }
+    if (!failed) {
+      SHARDCHAIN_RETURN_IF_ERROR(state->Commit(segment));
+      break;
+    }
+    SHARDCHAIN_RETURN_IF_ERROR(state->RevertTo(segment));
+    if (first < included.size()) {
+      const std::vector<Transaction> rerun(
+          included.begin() + static_cast<ptrdiff_t>(first), included.end());
+      SHARDCHAIN_RETURN_IF_ERROR(
+          ExecuteTransactions(rerun, miner, no_reward, state));
     }
   }
   state->Mint(miner, config.block_reward);

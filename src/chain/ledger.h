@@ -128,11 +128,13 @@ class Ledger {
   /// The block-packing rule, shared by BuildBlock and BlockPipeline:
   /// walks `candidates` in order, keeps each one that executes on
   /// `state`, stops at config.max_txs_per_block, then credits the block
-  /// reward. Each candidate runs against a journaled revert point on
-  /// `state` itself — committed if it executes, rolled back if not — so
-  /// a trial costs O(accounts it touches), not a copy of the whole
-  /// state. Returns the included transactions in candidate order; fails
-  /// only when a snapshot bracket does.
+  /// reward. Candidates run in place on `state` inside a snapshot (a
+  /// kept root handle) that a failing candidate rolls back, after which
+  /// the candidates included since the snapshot run again: a block pays
+  /// one snapshot per failing candidate, never a copy of the state.
+  /// Returns the included transactions in candidate order; fails only
+  /// when a snapshot bracket or the re-run of an included candidate
+  /// does.
   [[nodiscard]] static Result<std::vector<Transaction>> PackTransactions(
       std::vector<Transaction> candidates, const Address& miner,
       const ChainConfig& config, StateDB* state);

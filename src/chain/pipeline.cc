@@ -27,15 +27,11 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   if (count == 0) return result;
   const ChainConfig& config = ledger_->config();
 
-  // Stage-local states. exec_state is the selector/executor's working
-  // copy; commit_state is the worker's shadow replica. Both copies
-  // flush the tip's dirty set once, up front, then share its trie.
-  // Serial digests (no thread pool): the §9 pool is fork-join with a
-  // single caller, so the worker must not share it with the producer.
+  // The selector/executor's working state. Each block's post-state is
+  // handed to the commit worker as a copy: a root handle sharing every
+  // node, so the producer's next writes copy their spines instead of
+  // touching what the worker hashes (DESIGN.md §10, §14).
   StateDB exec_state = ledger_->tip_state();
-  StateDB commit_state = ledger_->tip_state();
-  exec_state.SetThreadPool(nullptr);
-  commit_state.SetThreadPool(nullptr);
 
   // Written only by the commit worker after initialization; read by the
   // producer only after WaitIdle (the worker's mutex orders both).
@@ -51,28 +47,11 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
           pool_->TopByFee(config.max_txs_per_block);
 
       // Greedy inclusion — Ledger's packing rule, run against
-      // exec_state in place inside a delta-collection bracket.
-      // parlint:allow(unbalanced-snapshot): delta-collection bracket, always committed, never reverted
-      const size_t outer = exec_state.Snapshot();
+      // exec_state in place.
       std::vector<Transaction> included;
       SHARDCHAIN_ASSIGN_OR_RETURN(
           included, Ledger::PackTransactions(std::move(candidates), miner,
                                              config, &exec_state));
-
-      // Value-snapshot this block's account delta for the worker
-      // (reverted trial writes have left the journal, so TouchedSince
-      // is exactly the surviving write set).
-      std::vector<Address> touched;
-      SHARDCHAIN_ASSIGN_OR_RETURN(touched, exec_state.TouchedSince(outer));
-      SHARDCHAIN_RETURN_IF_ERROR(exec_state.Commit(outer));
-      std::vector<std::pair<Address, Account>> delta;
-      delta.reserve(touched.size());
-      for (const Address& addr : touched) {
-        const Account* account = exec_state.Find(addr);
-        // Null only for a create that was fully reverted; execution
-        // never erases pre-existing accounts, so skipping is exact.
-        if (account != nullptr) delta.emplace_back(addr, *account);
-      }
       pool_->RemoveAll(included);
 
       Block block;
@@ -85,24 +64,17 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
       block.transactions = std::move(included);
       result.txs_confirmed += block.transactions.size();
 
-      // Commit stage: replay the delta, derive the root, finalize the
-      // header (FIFO chaining via worker-local prev_hash). Explicit
-      // captures only — the closure owns its inputs by value and the
-      // worker-confined state by pointer (§9 / tools/parlint).
-      committer.Submit([block = std::move(block), delta = std::move(delta),
-                        commit = &commit_state, out = &prepared,
-                        prev = &prev_hash]() mutable {
-        for (const auto& [addr, account] : delta) {
-          commit->ApplyAccount(addr, account);
-        }
+      // Commit stage: derive the root of the handed-off state, finalize
+      // the header (FIFO chaining via worker-local prev_hash). Explicit
+      // captures only — the closure owns its inputs (block, handed-off
+      // state) by value and the worker-confined outputs by pointer
+      // (§9 / tools/parlint).
+      committer.Submit([block = std::move(block), post = exec_state,
+                        out = &prepared, prev = &prev_hash]() mutable {
         block.header.parent_hash = *prev;
         block.header.tx_root = block.ComputeTxRoot();
-        block.header.state_root = commit->StateRoot();
+        block.header.state_root = post.StateRoot();
         *prev = block.header.Hash();
-        // StateRoot just flushed the dirty set, so this copy shares the
-        // trie; only the plain account map is duplicated — the same
-        // per-block cost Append's post-state tracking already pays.
-        StateDB post = *commit;
         out->push_back(Prepared{std::move(block), std::move(post)});
       });
     }

@@ -38,20 +38,21 @@ struct PipelineResult {
 ///  - the CALLING thread selects and greedily executes block N+1's
 ///    candidates in place on a persistent execution state
 ///    (Ledger::PackTransactions, the packing rule BuildBlock uses),
-///    then value-snapshots the block's account delta (TouchedSince);
-///  - an AsyncWorker (parallel/async_worker.h) replays each delta onto
-///    a shadow commit state, derives the state root, finalizes the
-///    header (parent hash chaining is worker-local, FIFO), and copies
-///    the post-state for the ledger node.
+///    then hands the commit stage a copy of that state — a root handle
+///    (DESIGN.md §10), O(1) and unhashed;
+///  - an AsyncWorker (parallel/async_worker.h) derives each handed-off
+///    state's root, finalizes the header (parent hash chaining is
+///    worker-local, FIFO), and keeps the state as the ledger node's
+///    post-state.
 ///
 /// Determinism argument (§14): selection/execution for block N+1 reads
 /// only the execution state and the pool — never the in-flight root —
 /// and the execution state's account contents after block N equal the
 /// serial path's tip post-state contents by induction (same packing
-/// function, same inputs). The commit worker replays exactly the accounts
-/// the journal recorded, so the shadow state's contents — and therefore
-/// the root, a pure function of contents (DESIGN.md §10) — match the
-/// serial path's. The worker is a single FIFO thread, so header
+/// function, same inputs). The handed-off copy holds exactly those
+/// contents, and the producer's later writes copy-on-write around it,
+/// so its root — a pure function of contents (DESIGN.md §10) — matches
+/// the serial path's. The worker is a single FIFO thread, so header
 /// chaining and append order are the submission order. Hence blocks are
 /// byte-identical to the serial loop at any queue depth
 /// (tests/pipeline_equivalence_test.cc pins this across queue depths).

@@ -34,9 +34,15 @@ Result<StateDB> Deserialize(const Bytes& wire, const Hash256& expected_root) {
   if (count > wire.size() / 52) {
     return Status::Corruption("account count exceeds snapshot size");
   }
+  Address prev;
   for (uint64_t i = 0; i < count; ++i) {
     Address addr;
     SHARDCHAIN_ASSIGN_OR_RETURN(addr, reader.ReadAddress());
+    // Canonical order: strictly ascending, so no account repeats.
+    if (i > 0 && !(prev < addr)) {
+      return Status::Corruption("snapshot addresses not strictly ascending");
+    }
+    prev = addr;
     Account& account = state.GetOrCreate(addr);
     SHARDCHAIN_ASSIGN_OR_RETURN(account.balance, reader.ReadU64());
     SHARDCHAIN_ASSIGN_OR_RETURN(account.nonce, reader.ReadU64());

@@ -118,8 +118,8 @@ Result<std::vector<int64_t>> Vm::DecodeArgs(const Bytes& payload) {
 Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
                                 const CallContext& ctx, StateDB* state) {
   assert(state != nullptr);
-  // Journaled revert point: O(1) to take, O(touched accounts) to roll
-  // back — no full-state copy either way.
+  // Revert point: a kept root handle, O(1) to take and to roll back —
+  // no full-state copy either way.
   const size_t snapshot = state->Snapshot();
   // Abort helper: rolls the state back and surfaces the error.
   auto fail = [&](Status st) -> Result<ExecReceipt> {
@@ -129,7 +129,7 @@ Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
     return st;
   };
   // Success helper: keeps the effects and retires the revert point so
-  // the undo log does not accumulate across calls.
+  // its kept root does not pin old nodes across calls.
   auto succeed = [&](uint64_t gas_used,
                      std::vector<int64_t> final_stack) -> Result<ExecReceipt> {
     Status committed = state->Commit(snapshot);

@@ -16,6 +16,8 @@ namespace shardchain {
 /// Contract accounts "record a transaction and the conditions under
 /// which that transaction is valid" (Sec. II-A); the conditions live in
 /// `code` as contract-VM bytecode and the parameters in `storage`.
+/// Inside a StateDB an Account sits in a trie leaf, shared by every
+/// version of the state that has not written it since.
 struct Account {
   Amount balance = 0;
   uint64_t nonce = 0;
@@ -24,29 +26,10 @@ struct Account {
 
   bool IsContract() const { return !code.empty(); }
 
-  /// Deterministic digest of the account contents (state-root leaf).
-  ///
-  /// The result is cached under a dirty flag so StateDB's incremental
-  /// StateRoot() never re-hashes untouched accounts (DESIGN.md §10).
-  /// Cache invariant: every mutable access to an account held by a
-  /// StateDB goes through StateDB::GetOrCreate, which calls
-  /// MarkDigestDirty() before handing out the reference; the cache is
-  /// only ever valid for the address the account lives at. Code that
-  /// mutates a free-standing Account directly must call
-  /// MarkDigestDirty() itself before re-reading Digest().
+  /// Deterministic digest of the account contents (state-root leaf
+  /// value). Not cached here: the trie node holding the account keeps
+  /// it with the node's hash (DESIGN.md §10).
   Hash256 Digest(const Address& addr) const;
-
-  /// Invalidates the cached digest; the next Digest() recomputes.
-  void MarkDigestDirty() const { digest_valid_ = false; }
-
- private:
-  // Derived cache, recomputed from the serialized members on demand;
-  // deliberately excluded from the wire format (EncodeAccountState
-  // re-derives it on the destination shard, DESIGN.md §11).
-  // codeclint:allow(codec-missing-field): digest memo cache, not state
-  mutable Hash256 digest_cache_;
-  // codeclint:allow(codec-missing-field): cache validity flag, not state
-  mutable bool digest_valid_ = false;
 };
 
 }  // namespace shardchain

@@ -3,25 +3,10 @@
 #include <algorithm>
 
 #include "crypto/sha256.h"
-#include "parallel/parallel.h"
 
 namespace shardchain {
 
-namespace {
-
-/// Chunk size for the batch digest recompute: large enough that chunk
-/// dispatch is amortized, small enough that a block's worth of dirty
-/// accounts still fans out.
-constexpr size_t kDigestGrain = 32;
-
-Bytes AddressKey(const Address& addr) {
-  return Bytes(addr.bytes.begin(), addr.bytes.end());
-}
-
-}  // namespace
-
 Hash256 Account::Digest(const Address& addr) const {
-  if (digest_valid_) return digest_cache_;
   Bytes buf;
   buf.reserve(64 + code.size() + storage.size() * 16);
   buf.insert(buf.end(), addr.bytes.begin(), addr.bytes.end());
@@ -34,31 +19,11 @@ Hash256 Account::Digest(const Address& addr) const {
     AppendUint64(&buf, key);
     AppendUint64(&buf, static_cast<uint64_t>(value));
   }
-  digest_cache_ = Sha256Digest(buf);
-  digest_valid_ = true;
-  return digest_cache_;
-}
-
-StateDB::StateDB(const StateDB& other) { *this = other; }
-
-StateDB& StateDB::operator=(const StateDB& other) {
-  if (this == &other) return *this;
-  // Fold the source's pending writes into its trie once, here, so (a)
-  // the shared nodes are fully hashed before sharing and (b) the two
-  // copies don't each redo the digest work.
-  other.FlushDirty();
-  accounts_ = other.accounts_;
-  trie_ = other.trie_;  // O(1): structural sharing.
-  dirty_.clear();
-  journal_ = other.journal_;
-  marks_ = other.marks_;
-  pool_ = other.pool_;
-  return *this;
+  return Sha256Digest(buf);
 }
 
 const Account* StateDB::Find(const Address& addr) const {
-  auto it = accounts_.find(addr);
-  return it == accounts_.end() ? nullptr : &it->second;
+  return trie_.FindAccount(addr.bytes);
 }
 
 Amount StateDB::BalanceOf(const Address& addr) const {
@@ -77,15 +42,7 @@ bool StateDB::IsContract(const Address& addr) const {
 }
 
 Account& StateDB::GetOrCreate(const Address& addr) {
-  auto [it, created] = accounts_.try_emplace(addr);
-  if (!marks_.empty()) {
-    journal_.push_back(UndoEntry{addr, created
-                                           ? std::optional<Account>()
-                                           : std::optional<Account>(it->second)});
-  }
-  dirty_.insert(addr);
-  it->second.MarkDigestDirty();
-  return it->second;
+  return trie_.MutableAccount(addr.bytes);
 }
 
 void StateDB::Mint(const Address& addr, Amount amount) {
@@ -124,121 +81,43 @@ void StateDB::StorageSet(const Address& addr, uint64_t key, int64_t value) {
 }
 
 bool StateDB::EraseAccount(const Address& addr) {
-  auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return false;
-  if (!marks_.empty()) {
-    journal_.push_back(UndoEntry{addr, std::optional<Account>(it->second)});
-  }
-  accounts_.erase(it);
-  // FlushDirty sees the address dirty with no account and deletes the
-  // trie leaf.
-  dirty_.insert(addr);
-  return true;
+  return trie_.Delete(addr.bytes);
 }
 
 size_t StateDB::Snapshot() {
-  marks_.push_back(journal_.size());
-  return marks_.size() - 1;
+  snapshots_.push_back(trie_);
+  return snapshots_.size() - 1;
 }
 
 Status StateDB::RevertTo(size_t snapshot_id) {
-  if (snapshot_id >= marks_.size()) {
+  if (snapshot_id >= snapshots_.size()) {
     return Status::OutOfRange("unknown snapshot id");
   }
-  const size_t target = marks_[snapshot_id];
-  while (journal_.size() > target) {
-    UndoEntry& entry = journal_.back();
-    if (entry.prior.has_value()) {
-      accounts_[entry.addr] = std::move(*entry.prior);
-    } else {
-      accounts_.erase(entry.addr);
-    }
-    dirty_.insert(entry.addr);
-    journal_.pop_back();
-  }
-  marks_.resize(snapshot_id);
+  trie_ = std::move(snapshots_[snapshot_id]);
+  snapshots_.resize(snapshot_id);
   return Status::OK();
-}
-
-Result<std::vector<Address>> StateDB::TouchedSince(size_t snapshot_id) const {
-  if (snapshot_id >= marks_.size()) {
-    return Status::OutOfRange("unknown snapshot id");
-  }
-  std::vector<Address> out;
-  out.reserve(journal_.size() - marks_[snapshot_id]);
-  for (size_t i = marks_[snapshot_id]; i < journal_.size(); ++i) {
-    out.push_back(journal_[i].addr);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-void StateDB::ApplyAccount(const Address& addr, const Account& account) {
-  Account& slot = GetOrCreate(addr);
-  slot = account;
-  slot.MarkDigestDirty();
 }
 
 Status StateDB::Commit(size_t snapshot_id) {
-  if (snapshot_id >= marks_.size()) {
+  if (snapshot_id >= snapshots_.size()) {
     return Status::OutOfRange("unknown snapshot id");
   }
-  if (snapshot_id + 1 != marks_.size()) {
+  if (snapshot_id + 1 != snapshots_.size()) {
     return Status::InvalidArgument(
         "commit must target the innermost live snapshot");
   }
-  marks_.pop_back();
-  // With no revert point left, the undo entries can never be replayed.
-  if (marks_.empty()) journal_.clear();
+  snapshots_.pop_back();
   return Status::OK();
 }
 
-void StateDB::FlushDirty() const {
-  if (!dirty_.empty()) {
-    // Sorted dirty addresses; their account pointers (nullptr = erased
-    // since it went dirty). std::set iteration is ordered, so the work
-    // list is a pure function of the touched set.
-    std::vector<const Account*> touched;
-    std::vector<const Address*> order;
-    touched.reserve(dirty_.size());
-    order.reserve(dirty_.size());
-    for (const Address& addr : dirty_) {
-      order.push_back(&addr);
-      touched.push_back(Find(addr));
-    }
-    // Batch digest recompute. Each lane writes only its own account's
-    // digest cache (disjoint writes, §9 rule 2); SHA-256 is bit-exact,
-    // so the thread count can never reach the root bytes.
-    ParallelFor(pool_, order.size(), kDigestGrain,
-                [&touched, &order](size_t i) {
-                  if (touched[i] != nullptr) (void)touched[i]->Digest(*order[i]);
-                });
-    // Fold into the live trie serially, in address order.
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (touched[i] != nullptr) {
-        const Hash256 digest = touched[i]->Digest(*order[i]);
-        trie_.Put(AddressKey(*order[i]),
-                  Bytes(digest.bytes.begin(), digest.bytes.end()));
-      } else {
-        trie_.Delete(AddressKey(*order[i]));
-      }
-    }
-    dirty_.clear();
-  }
-  // Warm the spine hashes so copies made from here share only
-  // fully-hashed nodes.
-  (void)trie_.RootHash();
+void StateDB::ApplyAccount(const Address& addr, const Account& account) {
+  GetOrCreate(addr) = account;
 }
 
-Hash256 StateDB::StateRoot() const {
-  FlushDirty();
-  return trie_.RootHash();
-}
+Hash256 StateDB::StateRoot() const { return trie_.RootHash(); }
 
 MerklePatriciaTrie::Proof StateDB::ProveAccount(const Address& addr) const {
-  FlushDirty();
-  return trie_.Prove(AddressKey(addr));
+  return trie_.Prove(addr.bytes);
 }
 
 Result<std::optional<Hash256>> StateDB::VerifyAccount(
@@ -247,7 +126,7 @@ Result<std::optional<Hash256>> StateDB::VerifyAccount(
   std::optional<Bytes> value;
   SHARDCHAIN_ASSIGN_OR_RETURN(
       value,
-      MerklePatriciaTrie::VerifyProof(state_root, AddressKey(addr), proof));
+      MerklePatriciaTrie::VerifyProof(state_root, addr.bytes, proof));
   if (!value.has_value()) return std::optional<Hash256>(std::nullopt);
   if (value->size() != 32) {
     return Status::Corruption("account digest has wrong size");
@@ -259,8 +138,11 @@ Result<std::optional<Hash256>> StateDB::VerifyAccount(
 
 std::vector<Address> StateDB::Addresses() const {
   std::vector<Address> out;
-  out.reserve(accounts_.size());
-  for (const auto& [addr, account] : accounts_) out.push_back(addr);
+  out.reserve(trie_.Size());
+  for (const auto& [key, value] : trie_.Entries()) {
+    Address& addr = out.emplace_back();
+    std::copy(key.begin(), key.end(), addr.bytes.begin());
+  }
   return out;
 }
 

@@ -2,9 +2,7 @@
 #define SHARDCHAIN_STATE_STATEDB_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/result.h"
@@ -16,40 +14,22 @@
 
 namespace shardchain {
 
-class ThreadPool;
-
-/// \brief The world state: a map from address to account, with
-/// journaled snapshot/revert support and an incrementally maintained
-/// Merkle state-root commitment.
+/// \brief The world state: accounts in a persistent Merkle Patricia
+/// trie, with snapshot/revert support and an authenticated state root.
 ///
 /// In the sharded system each shard's miners hold a StateDB restricted
 /// to their shard's accounts; MaxShard miners hold the full state
-/// (Sec. III-A). Copyable so the simulator can fork per-miner views —
-/// the copy shares the authenticated trie structurally (O(1) for the
-/// trie, O(n) only for the plain account map).
-///
-/// Incremental commitment (DESIGN.md §10): a live copy-on-write trie
-/// mirrors the account map. Mutations only mark accounts dirty;
-/// StateRoot() recomputes the digests of the dirty accounts (in
-/// parallel when a thread pool is installed, under the §9 determinism
-/// contract — SHA-256 digests are bit-exact at any thread count) and
-/// re-inserts just those leaves, so its cost is O(dirty · depth)
-/// instead of a full rebuild. The resulting root is byte-identical to
-/// a from-scratch rebuild over the same contents, whatever the
-/// mutation/snapshot history (pinned by the differential tests and the
-/// tests/vectors/state*.hex golden vectors).
+/// (Sec. III-A). The trie is the only store (DESIGN.md §10): its leaves
+/// hold the accounts, so a copy is a root handle — O(1), hashing
+/// nothing, sharing every node and account with the source until one
+/// side writes. Writes copy the O(depth) spine to the touched account
+/// (or write in place where this StateDB alone owns it), so StateRoot()
+/// re-hashes only what changed since the previous call, and the root is
+/// byte-identical to a from-scratch rebuild over the same contents,
+/// whatever the mutation/snapshot history (pinned by the differential
+/// tests and the tests/vectors/state*.hex golden vectors).
 class StateDB {
  public:
-  StateDB() = default;
-  /// Copies flush the source's dirty set first, so the shared trie
-  /// nodes are fully hashed before sharing (no writes after sharing;
-  /// see MerklePatriciaTrie) and the digest work is not repeated per
-  /// fork.
-  StateDB(const StateDB& other);
-  StateDB& operator=(const StateDB& other);
-  StateDB(StateDB&&) = default;
-  StateDB& operator=(StateDB&&) = default;
-
   /// Read access. Missing accounts read as empty (balance 0, nonce 0).
   const Account* Find(const Address& addr) const;
   Amount BalanceOf(const Address& addr) const;
@@ -57,8 +37,9 @@ class StateDB {
   bool IsContract(const Address& addr) const;
 
   /// Mutable access, creating the account if absent. The sole mutation
-  /// choke point: marks the account dirty for the incremental root and
-  /// records an undo entry when a snapshot is outstanding.
+  /// choke point: copy-on-write on the path to the account, so no
+  /// snapshot or copy sees the write. The reference is valid until the
+  /// next call that writes, snapshots, or copies this StateDB.
   Account& GetOrCreate(const Address& addr);
 
   /// Credits `amount` to `addr` (minting; used for genesis funding and
@@ -78,48 +59,33 @@ class StateDB {
   void StorageSet(const Address& addr, uint64_t key, int64_t value);
 
   /// Removes `addr` entirely (cross-shard migration: the account's
-  /// authoritative home moved away). Journaled like any write; the trie
-  /// leaf is deleted at the next flush. Returns false when absent.
+  /// authoritative home moved away). Returns false when absent.
   bool EraseAccount(const Address& addr);
 
-  /// Marks a revert point; RevertTo restores it. O(1): no state is
-  /// copied — subsequent writes record undo entries (touched accounts
-  /// only) in a journal. Snapshot ids are monotonically increasing and
-  /// invalidated by RevertTo to an earlier snapshot.
+  /// Marks a revert point; RevertTo restores it. O(1) and hashes
+  /// nothing: it keeps the current root handle, and later writes copy
+  /// the spines they touch instead of writing shared nodes. Snapshot ids
+  /// are monotonically increasing and invalidated by RevertTo to an
+  /// earlier snapshot.
   size_t Snapshot();
 
-  /// Rolls back every write made since `snapshot_id` was taken and
-  /// invalidates it along with all later snapshots. O(writes since).
+  /// Restores the root handle `snapshot_id` kept, dropping every write
+  /// made since, and invalidates it along with all later snapshots.
   Status RevertTo(size_t snapshot_id);
 
-  /// Discards the innermost snapshot, keeping its writes. The matching
-  /// undo entries fold into the enclosing snapshot's span (or are
-  /// dropped when none is outstanding). Fails unless `snapshot_id` is
-  /// the most recent live snapshot.
+  /// Discards the innermost snapshot's handle, keeping its writes.
+  /// Fails unless `snapshot_id` is the most recent live snapshot.
   Status Commit(size_t snapshot_id);
 
   /// Outstanding (live) snapshot count — 0 when no revert point exists.
-  size_t SnapshotDepth() const { return marks_.size(); }
-
-  /// Addresses written (created, mutated, or erased) since `snapshot_id`
-  /// was taken, sorted and deduplicated — the account modification log
-  /// of that journal span. Reads are never journaled, so this is exactly
-  /// the write set. Fails when the snapshot is not live.
-  Result<std::vector<Address>> TouchedSince(size_t snapshot_id) const;
+  size_t SnapshotDepth() const { return snapshots_.size(); }
 
   /// Overwrites `addr` with `account` wholesale (creating it if absent).
-  /// The merge-commit primitive for replaying account modification logs:
-  /// journaled and dirty-marked like any write.
   void ApplyAccount(const Address& addr, const Account& account);
-
-  /// Installs a thread pool used to recompute dirty account digests in
-  /// batch (nullptr = serial). Never consensus-visible: digests are
-  /// bit-exact at any thread count (DESIGN.md §9).
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   /// Authenticated commitment over all accounts: the root of a Merkle
   /// Patricia trie keyed by address, with account digests as values.
-  /// O(dirty · depth) since the previous call.
+  /// Hashes only the nodes and accounts written since the previous call.
   Hash256 StateRoot() const;
 
   /// Merkle Patricia proof that `addr` has the returned digest under
@@ -132,41 +98,15 @@ class StateDB {
       const Hash256& state_root, const Address& addr,
       const MerklePatriciaTrie::Proof& proof);
 
-  size_t AccountCount() const { return accounts_.size(); }
+  size_t AccountCount() const { return trie_.Size(); }
 
   /// All addresses in deterministic (sorted) order.
   std::vector<Address> Addresses() const;
 
  private:
-  /// One undo record: the account's full prior contents, or nullopt
-  /// when the write created it (revert then erases). Replayed in
-  /// reverse order, so repeated touches of one address in a span are
-  /// harmless — the oldest entry is applied last and wins.
-  struct UndoEntry {
-    Address addr;
-    std::optional<Account> prior;
-  };
-
-  /// Folds the dirty set into the live trie: batch-recomputes digests
-  /// of surviving dirty accounts, Put/Delete's exactly those leaves,
-  /// and warms the trie's hash cache. Logically const (cache
-  /// maintenance); cheap when nothing is dirty.
-  void FlushDirty() const;
-
-  std::map<Address, Account> accounts_;
-
-  /// Live authenticated mirror of accounts_, lagged by dirty_.
-  mutable MerklePatriciaTrie trie_;
-  /// Accounts whose trie leaf / digest cache is stale. std::set so the
-  /// flush walks addresses in deterministic sorted order.
-  mutable std::set<Address> dirty_;
-
-  /// Undo log of writes made while at least one snapshot is live, plus
-  /// the journal length at each Snapshot() call.
-  std::vector<UndoEntry> journal_;
-  std::vector<size_t> marks_;
-
-  ThreadPool* pool_ = nullptr;
+  MerklePatriciaTrie trie_;
+  /// Root handles kept by Snapshot(), oldest first.
+  std::vector<MerklePatriciaTrie> snapshots_;
 };
 
 }  // namespace shardchain

@@ -7,14 +7,24 @@ namespace shardchain {
 
 namespace {
 
-size_t CommonPrefix(const std::vector<uint8_t>& a, size_t a_from,
-                    const std::vector<uint8_t>& b, size_t b_from) {
+/// How many leading nibbles of `path` match `key` from `depth` on.
+template <typename Key>
+size_t CommonPrefix(const std::vector<uint8_t>& path, const Key& key,
+                    size_t depth) {
   size_t n = 0;
-  while (a_from + n < a.size() && b_from + n < b.size() &&
-         a[a_from + n] == b[b_from + n]) {
+  while (n < path.size() && depth + n < key.size() &&
+         path[n] == key[depth + n]) {
     ++n;
   }
   return n;
+}
+
+/// Whether the key suffix key[depth..] equals `path`.
+template <typename Key>
+bool SuffixEquals(const Key& key, size_t depth,
+                  const std::vector<uint8_t>& path) {
+  return key.size() - depth == path.size() &&
+         CommonPrefix(path, key, depth) == path.size();
 }
 
 }  // namespace
@@ -27,239 +37,199 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::ShallowCopy(const Node& src) {
   auto copy = std::make_shared<Node>();
   copy->kind = src.kind;
   copy->path = src.path;
-  copy->value = src.value;
   copy->has_value = src.has_value;
+  copy->value = src.value;
+  copy->account = src.account;
   copy->children = src.children;  // Pointer copies: subtrees are shared.
   return copy;
 }
 
-MerklePatriciaTrie::MerklePatriciaTrie(const MerklePatriciaTrie& other)
-    : root_(other.root_), size_(other.size_) {
-  // Warm the shared nodes' hash caches before sharing so neither copy
-  // ever writes a node the other can reach (data-race freedom when
-  // copies are hashed from different threads).
-  (void)other.RootHash();
+MerklePatriciaTrie::Node& MerklePatriciaTrie::Own(NodePtr* slot) {
+  // use_count() == 1 means no other version can reach the node: every
+  // version reaching it holds a pointer on the path from its root, and
+  // copying a version bumps the root's count.
+  if (slot->use_count() > 1) *slot = ShallowCopy(**slot);
+  (*slot)->hash_valid = false;
+  return **slot;
 }
 
-MerklePatriciaTrie& MerklePatriciaTrie::operator=(
-    const MerklePatriciaTrie& other) {
-  if (this != &other) {
-    (void)other.RootHash();
-    root_ = other.root_;
-    size_ = other.size_;
-  }
-  return *this;
-}
-
-std::vector<uint8_t> MerklePatriciaTrie::ToNibbles(const Bytes& key) {
-  std::vector<uint8_t> nibbles;
-  nibbles.reserve(key.size() * 2);
-  for (uint8_t b : key) {
-    nibbles.push_back(b >> 4);
-    nibbles.push_back(b & 0x0f);
-  }
-  return nibbles;
+std::vector<uint8_t> MerklePatriciaTrie::Nibbles::Slice(size_t from,
+                                                        size_t to) const {
+  std::vector<uint8_t> out;
+  out.reserve(to - from);
+  for (size_t i = from; i < to; ++i) out.push_back((*this)[i]);
+  return out;
 }
 
 // ---------------------------------------------------------------------
 // Serialization & hashing
 // ---------------------------------------------------------------------
 
-Bytes MerklePatriciaTrie::Serialize(const Node& node) {
+namespace {
+
+/// The address an account entry is keyed by: its full key nibbles,
+/// `prefix` then `rest` (a leaf's path; a branch's path is empty).
+Address EntryAddress(const std::vector<uint8_t>& prefix,
+                     const std::vector<uint8_t>& rest) {
+  Address addr;
+  assert(prefix.size() + rest.size() == 2 * addr.bytes.size() &&
+         "account keys are addresses");
+  for (size_t i = 0; i < 2 * addr.bytes.size(); ++i) {
+    const uint8_t nibble =
+        i < prefix.size() ? prefix[i] : rest[i - prefix.size()];
+    addr.bytes[i / 2] |= static_cast<uint8_t>(i % 2 == 0 ? nibble << 4 : nibble);
+  }
+  return addr;
+}
+
+}  // namespace
+
+Bytes MerklePatriciaTrie::Serialize(const Node& node,
+                                    std::vector<uint8_t>* prefix,
+                                    Hash256* digest) {
+  auto append_value = [&](Bytes* out) {
+    if (!node.account) {
+      AppendUint64(out, node.value.size());
+      out->insert(out->end(), node.value.begin(), node.value.end());
+      return;
+    }
+    *digest = node.hash_valid
+                  ? node.digest
+                  : node.account->Digest(EntryAddress(*prefix, node.path));
+    AppendUint64(out, digest->bytes.size());
+    out->insert(out->end(), digest->bytes.begin(), digest->bytes.end());
+  };
   Bytes out;
   out.push_back(static_cast<uint8_t>(node.kind));
   switch (node.kind) {
     case Node::Kind::kLeaf: {
       AppendUint32(&out, static_cast<uint32_t>(node.path.size()));
       out.insert(out.end(), node.path.begin(), node.path.end());
-      AppendUint64(&out, node.value.size());
-      out.insert(out.end(), node.value.begin(), node.value.end());
+      append_value(&out);
       break;
     }
     case Node::Kind::kExtension: {
       AppendUint32(&out, static_cast<uint32_t>(node.path.size()));
       out.insert(out.end(), node.path.begin(), node.path.end());
-      const Hash256 child = node.children[0] ? HashOf(*node.children[0])
-                                             : Hash256::Zero();
+      prefix->insert(prefix->end(), node.path.begin(), node.path.end());
+      const Hash256 child = node.children[0]
+                                ? HashOf(*node.children[0], prefix)
+                                : Hash256::Zero();
+      prefix->resize(prefix->size() - node.path.size());
       out.insert(out.end(), child.bytes.begin(), child.bytes.end());
       break;
     }
     case Node::Kind::kBranch: {
-      for (const NodePtr& child : node.children) {
-        const Hash256 h = child ? HashOf(*child) : Hash256::Zero();
+      for (uint8_t i = 0; i < 16; ++i) {
+        Hash256 h = Hash256::Zero();
+        if (node.children[i]) {
+          prefix->push_back(i);
+          h = HashOf(*node.children[i], prefix);
+          prefix->pop_back();
+        }
         out.insert(out.end(), h.bytes.begin(), h.bytes.end());
       }
       out.push_back(node.has_value ? 1 : 0);
-      AppendUint64(&out, node.value.size());
-      out.insert(out.end(), node.value.begin(), node.value.end());
+      append_value(&out);
       break;
     }
   }
   return out;
 }
 
-Hash256 MerklePatriciaTrie::HashOf(const Node& node) {
+Hash256 MerklePatriciaTrie::HashOf(const Node& node,
+                                   std::vector<uint8_t>* prefix) {
   if (node.hash_valid) return node.cached_hash;
-  node.cached_hash = Sha256Digest(Serialize(node));
+  node.cached_hash = Sha256Digest(Serialize(node, prefix, &node.digest));
   node.hash_valid = true;
   return node.cached_hash;
 }
 
 Hash256 MerklePatriciaTrie::RootHash() const {
-  return root_ ? HashOf(*root_) : Hash256::Zero();
+  std::vector<uint8_t> prefix;
+  return root_ ? HashOf(*root_, &prefix) : Hash256::Zero();
 }
 
 // ---------------------------------------------------------------------
 // Insert
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// Whether the key suffix nibbles[depth..] equals `path`.
-bool SuffixEquals(const std::vector<uint8_t>& nibbles, size_t depth,
-                  const std::vector<uint8_t>& path) {
-  if (nibbles.size() - depth != path.size()) return false;
-  return std::equal(path.begin(), path.end(), nibbles.begin() + depth);
-}
-
-}  // namespace
-
-MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Insert(
-    const NodePtr& node, const std::vector<uint8_t>& nibbles, size_t depth,
-    Bytes value, bool* added) {
-  if (!node) {
-    auto leaf = std::make_shared<Node>();
-    leaf->kind = Node::Kind::kLeaf;
-    leaf->path.assign(nibbles.begin() + static_cast<ptrdiff_t>(depth),
-                      nibbles.end());
-    leaf->value = std::move(value);
-    leaf->has_value = true;
-    *added = true;
-    return leaf;
-  }
-
-  switch (node->kind) {
-    case Node::Kind::kLeaf: {
-      if (SuffixEquals(nibbles, depth, node->path)) {
-        NodePtr copy = ShallowCopy(*node);
-        copy->value = std::move(value);
-        return copy;
+MerklePatriciaTrie::Node& MerklePatriciaTrie::Upsert(NodePtr* slot,
+                                                     const Nibbles& nibbles) {
+  size_t depth = 0;
+  for (;;) {
+    if (!*slot) {
+      *slot = std::make_shared<Node>();
+      (*slot)->kind = Node::Kind::kLeaf;
+      (*slot)->path = nibbles.Slice(depth, nibbles.size());
+      return **slot;
+    }
+    Node& node = Own(slot);
+    if (node.kind == Node::Kind::kBranch) {
+      if (depth == nibbles.size()) return node;
+      slot = &node.children[nibbles[depth++]];
+      continue;
+    }
+    const size_t cp = CommonPrefix(node.path, nibbles, depth);
+    if (cp == node.path.size()) {
+      if (node.kind == Node::Kind::kExtension) {
+        depth += cp;
+        slot = &node.children[0];
+        continue;
       }
-      *added = true;
-      const size_t cp = CommonPrefix(node->path, 0, nibbles, depth);
-      auto branch = std::make_shared<Node>();
-      branch->kind = Node::Kind::kBranch;
-      // Re-seat the existing leaf under the branch.
-      if (node->path.size() == cp) {
-        branch->has_value = true;
-        branch->value = node->value;
-      } else {
-        auto old_leaf = std::make_shared<Node>();
-        old_leaf->kind = Node::Kind::kLeaf;
-        old_leaf->path.assign(
-            node->path.begin() + static_cast<ptrdiff_t>(cp + 1),
-            node->path.end());
-        old_leaf->value = node->value;
-        old_leaf->has_value = true;
-        branch->children[node->path[cp]] = std::move(old_leaf);
-      }
-      // Seat the new entry.
-      if (nibbles.size() - depth == cp) {
-        branch->has_value = true;
-        branch->value = std::move(value);
-      } else {
-        auto new_leaf = std::make_shared<Node>();
-        new_leaf->kind = Node::Kind::kLeaf;
-        new_leaf->path.assign(
-            nibbles.begin() + static_cast<ptrdiff_t>(depth + cp + 1),
-            nibbles.end());
-        new_leaf->value = std::move(value);
-        new_leaf->has_value = true;
-        branch->children[nibbles[depth + cp]] = std::move(new_leaf);
-      }
-      if (cp == 0) return branch;
+      if (depth + cp == nibbles.size()) return node;  // This leaf.
+    }
+    // The key leaves `node`'s path after cp nibbles: split there. A
+    // branch takes the old node (trimmed, under its next nibble) and
+    // the descent continues into it for the new key.
+    auto branch = std::make_shared<Node>();
+    branch->kind = Node::Kind::kBranch;
+    NodePtr rest = std::move(*slot);
+    if (cp == rest->path.size()) {
+      // A leaf whose key ends here: its entry moves onto the branch.
+      branch->has_value = true;
+      branch->value = std::move(rest->value);
+      branch->account = std::move(rest->account);
+    } else {
+      const uint8_t idx = rest->path[cp];
+      rest->path.erase(rest->path.begin(),
+                       rest->path.begin() + static_cast<ptrdiff_t>(cp + 1));
+      branch->children[idx] =
+          rest->kind == Node::Kind::kExtension && rest->path.empty()
+              ? std::move(rest->children[0])
+              : std::move(rest);
+    }
+    if (cp == 0) {
+      *slot = std::move(branch);
+    } else {
       auto ext = std::make_shared<Node>();
       ext->kind = Node::Kind::kExtension;
-      ext->path.assign(node->path.begin(),
-                       node->path.begin() + static_cast<ptrdiff_t>(cp));
+      ext->path = nibbles.Slice(depth, depth + cp);
       ext->children[0] = std::move(branch);
-      return ext;
-    }
-
-    case Node::Kind::kExtension: {
-      const size_t cp = CommonPrefix(node->path, 0, nibbles, depth);
-      if (cp == node->path.size()) {
-        NodePtr copy = ShallowCopy(*node);
-        copy->children[0] =
-            Insert(node->children[0], nibbles, depth + cp, std::move(value),
-                   added);
-        return copy;
-      }
-      // Split the extension at cp.
-      *added = true;
-      auto branch = std::make_shared<Node>();
-      branch->kind = Node::Kind::kBranch;
-      // Old subtree goes under node->path[cp]; the subtree itself is
-      // shared untouched.
-      {
-        const uint8_t idx = node->path[cp];
-        if (node->path.size() - cp == 1) {
-          branch->children[idx] = node->children[0];
-        } else {
-          auto tail = std::make_shared<Node>();
-          tail->kind = Node::Kind::kExtension;
-          tail->path.assign(
-              node->path.begin() + static_cast<ptrdiff_t>(cp + 1),
-              node->path.end());
-          tail->children[0] = node->children[0];
-          branch->children[idx] = std::move(tail);
-        }
-      }
-      // New entry.
-      if (nibbles.size() - depth == cp) {
-        branch->has_value = true;
-        branch->value = std::move(value);
-      } else {
-        auto leaf = std::make_shared<Node>();
-        leaf->kind = Node::Kind::kLeaf;
-        leaf->path.assign(
-            nibbles.begin() + static_cast<ptrdiff_t>(depth + cp + 1),
-            nibbles.end());
-        leaf->value = std::move(value);
-        leaf->has_value = true;
-        branch->children[nibbles[depth + cp]] = std::move(leaf);
-      }
-      if (cp == 0) return branch;
-      auto ext = std::make_shared<Node>();
-      ext->kind = Node::Kind::kExtension;
-      ext->path.assign(node->path.begin(),
-                       node->path.begin() + static_cast<ptrdiff_t>(cp));
-      ext->children[0] = std::move(branch);
-      return ext;
-    }
-
-    case Node::Kind::kBranch: {
-      NodePtr copy = ShallowCopy(*node);
-      if (depth == nibbles.size()) {
-        if (!copy->has_value) *added = true;
-        copy->has_value = true;
-        copy->value = std::move(value);
-        return copy;
-      }
-      const uint8_t idx = nibbles[depth];
-      copy->children[idx] = Insert(node->children[idx], nibbles, depth + 1,
-                                   std::move(value), added);
-      return copy;
+      *slot = std::move(ext);
+      slot = &(*slot)->children[0];
+      depth += cp;
     }
   }
-  return nullptr;  // Unreachable.
 }
 
-void MerklePatriciaTrie::Put(const Bytes& key, Bytes value) {
-  const std::vector<uint8_t> nibbles = ToNibbles(key);
-  bool added = false;
-  root_ = Insert(root_, nibbles, 0, std::move(value), &added);
-  if (added) ++size_;
+void MerklePatriciaTrie::Put(Key key, Bytes value) {
+  Node& node = Upsert(&root_, Nibbles(key));
+  if (!node.has_value) {
+    node.has_value = true;
+    ++size_;
+  }
+  node.value = std::move(value);
+}
+
+Account& MerklePatriciaTrie::MutableAccount(Key key) {
+  Node& node = Upsert(&root_, Nibbles(key));
+  if (!node.has_value) {
+    node.has_value = true;
+    ++size_;
+  }
+  if (!node.account) node.account.emplace();
+  return *node.account;
 }
 
 // ---------------------------------------------------------------------
@@ -267,13 +237,14 @@ void MerklePatriciaTrie::Put(const Bytes& key, Bytes value) {
 // ---------------------------------------------------------------------
 
 const MerklePatriciaTrie::Node* MerklePatriciaTrie::Find(
-    const Node* node, const std::vector<uint8_t>& nibbles, size_t depth) {
+    const Node* node, const Nibbles& nibbles) {
+  size_t depth = 0;
   while (node != nullptr) {
     switch (node->kind) {
       case Node::Kind::kLeaf:
         return SuffixEquals(nibbles, depth, node->path) ? node : nullptr;
       case Node::Kind::kExtension: {
-        const size_t cp = CommonPrefix(node->path, 0, nibbles, depth);
+        const size_t cp = CommonPrefix(node->path, nibbles, depth);
         if (cp != node->path.size()) return nullptr;
         depth += cp;
         node = node->children[0].get();
@@ -292,10 +263,15 @@ const MerklePatriciaTrie::Node* MerklePatriciaTrie::Find(
   return nullptr;
 }
 
-std::optional<Bytes> MerklePatriciaTrie::Get(const Bytes& key) const {
-  const Node* node = Find(root_.get(), ToNibbles(key), 0);
+std::optional<Bytes> MerklePatriciaTrie::Get(Key key) const {
+  const Node* node = Find(root_.get(), Nibbles(key));
   if (node == nullptr) return std::nullopt;
   return node->value;
+}
+
+const Account* MerklePatriciaTrie::FindAccount(Key key) const {
+  const Node* node = Find(root_.get(), Nibbles(key));
+  return node == nullptr || !node->account ? nullptr : &*node->account;
 }
 
 // ---------------------------------------------------------------------
@@ -332,6 +308,7 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Normalize(NodePtr node) {
       auto leaf = std::make_shared<Node>();
       leaf->kind = Node::Kind::kLeaf;
       leaf->value = std::move(node->value);
+      leaf->account = std::move(node->account);
       leaf->has_value = true;
       return leaf;
     }
@@ -358,9 +335,10 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Normalize(NodePtr node) {
   return node;
 }
 
-MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Remove(
-    const NodePtr& node, const std::vector<uint8_t>& nibbles, size_t depth,
-    bool* removed) {
+MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Remove(const NodePtr& node,
+                                                     const Nibbles& nibbles,
+                                                     size_t depth,
+                                                     bool* removed) {
   if (!node) return node;
   switch (node->kind) {
     case Node::Kind::kLeaf: {
@@ -371,7 +349,7 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Remove(
       return node;
     }
     case Node::Kind::kExtension: {
-      const size_t cp = CommonPrefix(node->path, 0, nibbles, depth);
+      const size_t cp = CommonPrefix(node->path, nibbles, depth);
       if (cp != node->path.size()) return node;
       NodePtr child = Remove(node->children[0], nibbles, depth + cp, removed);
       if (!*removed) return node;
@@ -386,6 +364,7 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Remove(
         copy = ShallowCopy(*node);
         copy->has_value = false;
         copy->value.clear();
+        copy->account.reset();
         *removed = true;
       } else {
         const uint8_t idx = nibbles[depth];
@@ -401,9 +380,9 @@ MerklePatriciaTrie::NodePtr MerklePatriciaTrie::Remove(
   return node;
 }
 
-bool MerklePatriciaTrie::Delete(const Bytes& key) {
+bool MerklePatriciaTrie::Delete(Key key) {
   bool removed = false;
-  root_ = Remove(root_, ToNibbles(key), 0, &removed);
+  root_ = Remove(root_, Nibbles(key), 0, &removed);
   if (removed) --size_;
   return removed;
 }
@@ -465,15 +444,17 @@ std::vector<std::pair<Bytes, Bytes>> MerklePatriciaTrie::Entries() const {
 // ---------------------------------------------------------------------
 
 void MerklePatriciaTrie::CollectProof(const Node* node,
-                                      const std::vector<uint8_t>& nibbles,
-                                      size_t depth, Proof* proof) {
+                                      const Nibbles& nibbles, Proof* proof) {
+  size_t depth = 0;
+  Hash256 digest;
   while (node != nullptr) {
-    proof->push_back(ProofNode{Serialize(*node)});
+    std::vector<uint8_t> prefix = nibbles.Slice(0, depth);
+    proof->push_back(ProofNode{Serialize(*node, &prefix, &digest)});
     switch (node->kind) {
       case Node::Kind::kLeaf:
         return;
       case Node::Kind::kExtension: {
-        const size_t cp = CommonPrefix(node->path, 0, nibbles, depth);
+        const size_t cp = CommonPrefix(node->path, nibbles, depth);
         if (cp != node->path.size()) return;  // Diverged: absence proof.
         depth += cp;
         node = node->children[0].get();
@@ -489,9 +470,9 @@ void MerklePatriciaTrie::CollectProof(const Node* node,
   }
 }
 
-MerklePatriciaTrie::Proof MerklePatriciaTrie::Prove(const Bytes& key) const {
+MerklePatriciaTrie::Proof MerklePatriciaTrie::Prove(Key key) const {
   Proof proof;
-  CollectProof(root_.get(), ToNibbles(key), 0, &proof);
+  CollectProof(root_.get(), Nibbles(key), &proof);
   return proof;
 }
 
@@ -568,8 +549,8 @@ Result<ParsedNode> ParseNode(const Bytes& raw) {
 }  // namespace
 
 Result<std::optional<Bytes>> MerklePatriciaTrie::VerifyProof(
-    const Hash256& root, const Bytes& key, const Proof& proof) {
-  const std::vector<uint8_t> nibbles = ToNibbles(key);
+    const Hash256& root, Key key, const Proof& proof) {
+  const Nibbles nibbles(key);
   if (proof.empty()) {
     // Only the empty trie proves anything with an empty proof.
     if (root.IsZero()) return std::optional<Bytes>(std::nullopt);
@@ -588,15 +569,13 @@ Result<std::optional<Bytes>> MerklePatriciaTrie::VerifyProof(
     switch (node.kind) {
       case 0: {  // Leaf.
         if (!last) return Status::Corruption("leaf before end of proof");
-        if (nibbles.size() - depth == node.path.size() &&
-            std::equal(node.path.begin(), node.path.end(),
-                       nibbles.begin() + static_cast<ptrdiff_t>(depth))) {
+        if (SuffixEquals(nibbles, depth, node.path)) {
           return std::optional<Bytes>(node.value);
         }
         return std::optional<Bytes>(std::nullopt);  // Proven absent.
       }
       case 1: {  // Extension.
-        const size_t cp = CommonPrefix(node.path, 0, nibbles, depth);
+        const size_t cp = CommonPrefix(node.path, nibbles, depth);
         if (cp != node.path.size()) {
           if (!last) return Status::Corruption("diverged mid-proof");
           return std::optional<Bytes>(std::nullopt);

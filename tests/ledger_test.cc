@@ -352,7 +352,7 @@ TEST(LedgerTest, ImportAccountInvalidatesBuildCache) {
 }
 
 TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
-  // A candidate that fails after journaling writes (fee charged, value
+  // A candidate that fails after making writes (fee charged, value
   // moved, then the VM rejects the call to a codeless address) forces
   // the RevertTo path inside BuildBlock; the block must come out
   // byte-identical to one built without the failing candidate.
@@ -379,6 +379,74 @@ TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
   ASSERT_TRUE(ledger.Append(with_failure).ok());
   // The failed candidate left no residue: Addr(3) kept its balance.
   EXPECT_EQ(ledger.tip_state().BalanceOf(Addr(3)), 500u);
+}
+
+// ------------------------ structural sharing ----------------------------
+
+Address Nth(uint64_t i) {
+  Address a;
+  a.bytes[0] = static_cast<uint8_t>(i);
+  a.bytes[1] = static_cast<uint8_t>(i >> 8);
+  a.bytes[19] = static_cast<uint8_t>(i * 131);
+  return a;
+}
+
+TEST(LedgerTest, UntouchedAccountsAreSharedAcrossBlocks) {
+  // A ledger node's post-state shares every account its block did not
+  // touch with the parent's post-state — the same Account object, not
+  // a copy — so a block costs memory for what it wrote, not for the
+  // whole state. This must still hold 257 blocks after genesis.
+  constexpr uint64_t kAccounts = 10'000;
+  constexpr uint64_t kSenders = 16;
+  constexpr int kBlocks = 257;
+  StateDB genesis;
+  for (uint64_t i = 0; i < kAccounts; ++i) genesis.Mint(Nth(i), 1'000'000);
+  Ledger ledger(1, std::move(genesis));
+
+  auto pointers = [&ledger] {
+    std::vector<const Account*> out;
+    for (uint64_t i = 0; i < kAccounts; ++i) {
+      out.push_back(ledger.tip_state().Find(Nth(i)));
+    }
+    return out;
+  };
+  const std::vector<const Account*> at_genesis = pointers();
+  const Address miner = Nth(kAccounts - 1);
+  std::vector<bool> ever_touched(kAccounts, false);
+  ever_touched[kAccounts - 1] = true;
+
+  std::vector<const Account*> parent = at_genesis;
+  for (int b = 0; b < kBlocks; ++b) {
+    std::vector<bool> touched(kAccounts, false);
+    touched[kAccounts - 1] = true;
+    std::vector<Transaction> txs;
+    for (uint64_t j = 0; j < 3; ++j) {
+      const uint64_t from = (static_cast<uint64_t>(b) * 3 + j) % kSenders;
+      const uint64_t to = kSenders + static_cast<uint64_t>(b) * 7 + j;
+      txs.push_back(Pay(Nth(from), Nth(to), 10, 1,
+                        ledger.tip_state().NonceOf(Nth(from))));
+      touched[from] = touched[to] = true;
+      ever_touched[from] = ever_touched[to] = true;
+    }
+    Block block = MustBuild(ledger, miner, txs, static_cast<uint64_t>(b) + 1);
+    ASSERT_EQ(block.transactions.size(), txs.size());
+    ASSERT_TRUE(ledger.Append(block).ok());
+
+    const std::vector<const Account*> after = pointers();
+    for (uint64_t i = 0; i < kAccounts; ++i) {
+      if (touched[i]) continue;
+      ASSERT_EQ(after[i], parent[i])
+          << "block " << b << " copied untouched account " << i;
+    }
+    parent = after;
+  }
+
+  EXPECT_EQ(ledger.tip_number(), static_cast<uint64_t>(kBlocks));
+  for (uint64_t i = 0; i < kAccounts; ++i) {
+    if (ever_touched[i]) continue;
+    ASSERT_EQ(parent[i], at_genesis[i])
+        << "account " << i << " untouched since genesis was copied";
+  }
 }
 
 TEST(PowTest, TargetMonotoneInDifficulty) {

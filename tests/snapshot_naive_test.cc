@@ -69,6 +69,39 @@ TEST(SnapshotTest, TamperedBytesRejected) {
   EXPECT_FALSE(snapshot::Deserialize(wire, root).ok());
 }
 
+TEST(SnapshotTest, RepeatedOrUnsortedAddressesRejected) {
+  // The codec is canonical: accounts come in strictly ascending address
+  // order. A wire that repeats an entry or swaps two entries describes
+  // the same contents — the root check alone would accept it — and must
+  // be rejected as Corruption.
+  StateDB state;
+  state.Mint(Addr(1), 10);
+  state.Mint(Addr(2), 20);
+  state.Mint(Addr(5), 50);
+  const Hash256 root = state.StateRoot();
+  const Bytes wire = snapshot::Serialize(state);
+  constexpr size_t kEntry = 20 + 8 + 8 + 8 + 8;  // EOA: no code, no storage.
+  ASSERT_EQ(wire.size(), 8 + 3 * kEntry);
+  auto entry = [&wire](size_t i) {
+    const auto begin = wire.begin() + static_cast<ptrdiff_t>(8 + i * kEntry);
+    return Bytes(begin, begin + static_cast<ptrdiff_t>(kEntry));
+  };
+  auto assemble = [](const std::vector<Bytes>& entries) {
+    Bytes out;
+    AppendUint64(&out, entries.size());
+    for (const Bytes& e : entries) out.insert(out.end(), e.begin(), e.end());
+    return out;
+  };
+  ASSERT_TRUE(
+      snapshot::Deserialize(assemble({entry(0), entry(1), entry(2)}), root)
+          .ok());
+
+  const Bytes repeated = assemble({entry(0), entry(0), entry(1), entry(2)});
+  EXPECT_TRUE(snapshot::Deserialize(repeated, root).status().IsCorruption());
+  const Bytes swapped = assemble({entry(1), entry(0), entry(2)});
+  EXPECT_TRUE(snapshot::Deserialize(swapped, root).status().IsCorruption());
+}
+
 TEST(SnapshotTest, TruncationRejectedCleanly) {
   const StateDB state = RichState();
   const Bytes wire = snapshot::Serialize(state);

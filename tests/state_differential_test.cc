@@ -1,7 +1,7 @@
 // Randomized differential tests for the incremental authenticated
 // state layer (DESIGN.md §10).
 //
-// The copy-on-write MerklePatriciaTrie and the journaled StateDB are
+// The copy-on-write MerklePatriciaTrie and the StateDB built on it are
 // driven through long seeded Put/Delete/Snapshot/Revert/Commit
 // sequences against deliberately naive reference models:
 //
@@ -14,8 +14,8 @@
 //     proofs).
 //
 // Any divergence between the O(dirty·depth) incremental path and the
-// O(n) rebuild — a stale cached hash, a leaked journal entry, a COW
-// node aliased across versions — fails here. The suites run under the
+// O(n) rebuild — a stale cached hash, a write leaking into a kept
+// snapshot, a COW node aliased across versions — fails here. The suites run under the
 // ASan/UBSan and (via the shardchain_tests binary) release CI legs.
 
 #include <map>
@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "parallel/thread_pool.h"
 #include "state/statedb.h"
 #include "state/trie.h"
 #include "types/address.h"
@@ -175,7 +174,7 @@ Address AddrFor(uint64_t n) {
 }
 
 /// The naive reference: plain account data, snapshots as full copies —
-/// exactly the semantics the journal replaces.
+/// exactly the semantics root-handle snapshots must reproduce.
 struct RefAccount {
   Amount balance = 0;
   uint64_t nonce = 0;
@@ -313,33 +312,6 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
       if (step % 90 == 89) CheckStateAgainstModel(db, ref);
     }
     CheckStateAgainstModel(db, ref);
-  }
-}
-
-TEST(StateDifferential, ParallelDigestBatchMatchesSerial) {
-  // The batch digest recompute must be bitwise-identical at any thread
-  // count (§9 contract): drive two StateDBs through the same mutation
-  // stream, one serial, one with a pool, and compare roots repeatedly.
-  ThreadPool pool(4);
-  StateDB serial;
-  StateDB parallel;
-  parallel.SetThreadPool(&pool);
-  Rng rng(31337);
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const Address addr = AddrFor(rng.Next() % 500);
-      const Amount amount = 1 + rng.UniformInt(100);
-      serial.Mint(addr, amount);
-      parallel.Mint(addr, amount);
-      if (i % 5 == 0) {
-        const uint64_t key = rng.Next() % 8;
-        const int64_t value = static_cast<int64_t>(rng.Next() % 100);
-        serial.StorageSet(addr, key, value);
-        parallel.StorageSet(addr, key, value);
-      }
-    }
-    ASSERT_EQ(serial.StateRoot(), parallel.StateRoot())
-        << "thread count leaked into root bytes at round " << round;
   }
 }
 
