@@ -24,11 +24,19 @@
 // post-state, and structural sharing is what keeps that growth to the
 // blocks' writes instead of 257 copies of the state.
 //
+// A last table sets the root hashed on a thread pool (the stale
+// subtries under the first stale branch in parallel, DESIGN.md §9)
+// beside the serial walk: root_update at 100k and 1M accounts, and
+// genesis_root — the first root of a fresh 1M-account state, every
+// node stale.
+//
 // The bench is also a correctness gate: before any timing, every
 // scenario asserts the incremental root is byte-identical to the
 // from-scratch rebuild (the consensus invariant the representation
-// must preserve) and aborts on divergence. The timings and the memory
-// growth are reported, not gated.
+// must preserve), and the pooled root to the serial one, and aborts on
+// divergence. genesis_root's timed hash is its only hash, so it is
+// gated after timing, before anything is reported. The timings and
+// the memory growth are reported, not gated.
 //
 // Emits BENCH_state.json into the working directory for CI artifact
 // collection.
@@ -46,6 +54,7 @@
 #include "bench/bench_util.h"
 #include "bench/emit_json.h"
 #include "chain/ledger.h"
+#include "parallel/thread_pool.h"
 #include "state/statedb.h"
 #include "state/trie.h"
 #include "types/address.h"
@@ -56,6 +65,7 @@ namespace {
 using Clock = std::chrono::steady_clock;  // detlint:allow(wall-clock): bench timing
 
 const size_t kAccountCounts[] = {100, 1000, 10000, 100000, 1000000};
+const size_t kPooledAccountCounts[] = {100000, 1000000};
 constexpr size_t kOldStyleMaxAccounts = 100000;
 constexpr size_t kTouchedPerRoot = 64;  ///< Dirty accounts per root update.
 constexpr size_t kTouchedPerSnap = 16;  ///< Writes inside a snapshot span.
@@ -187,6 +197,82 @@ void BenchRootUpdate(size_t accounts, std::vector<ScenarioResult>* out) {
     });
   }
   Report(out, "root_update", accounts, old_ops, new_ops);
+}
+
+// --------------------- pooled vs serial root --------------------------
+
+struct PooledResult {
+  std::string scenario;
+  size_t accounts = 0;
+  std::string unit;  ///< "ops/sec" or "seconds".
+  double serial = 0.0;
+  double pooled = 0.0;
+};
+
+void ReportPooled(std::vector<PooledResult>* out, PooledResult r) {
+  const bool rate = r.unit == "ops/sec";
+  const double speedup = rate ? r.pooled / r.serial : r.serial / r.pooled;
+  bench::Row({r.scenario, std::to_string(r.accounts), r.unit,
+              bench::Fmt(r.serial, rate ? 2 : 3),
+              bench::Fmt(r.pooled, rate ? 2 : 3),
+              bench::Fmt(speedup, 2) + "x"});
+  out->push_back(std::move(r));
+}
+
+/// root_update on two identical states, one hashed serially and one on
+/// `pool`.
+void BenchPooledRootUpdate(size_t accounts, ThreadPool* pool,
+                           std::vector<PooledResult>* out) {
+  StateDB serial_db = FundedState(accounts);
+  StateDB pooled_db = FundedState(accounts);
+  (void)serial_db.StateRoot();
+  (void)pooled_db.StateRoot(pool);
+  auto mutate_batch = [&](StateDB* db, uint64_t at) {
+    for (size_t j = 0; j < kTouchedPerRoot; ++j) {
+      db->Mint(BenchAddr((at + j * 7) % accounts), 1);
+    }
+  };
+
+  // Identity gate: pooled root == serial root == from-scratch rebuild.
+  mutate_batch(&serial_db, 0);
+  mutate_batch(&pooled_db, 0);
+  const Hash256 pooled_root = pooled_db.StateRoot(pool);
+  if (pooled_root != serial_db.StateRoot() ||
+      pooled_root != RootFromScratch(serial_db)) {
+    IdentityFailure("root_update(pool)", accounts);
+  }
+
+  uint64_t serial_at = 1, pooled_at = 1;
+  const double serial_ops = MeasureOpsPerSec([&] {
+    mutate_batch(&serial_db, serial_at++);
+    return serial_db.StateRoot().Prefix64();
+  });
+  const double pooled_ops = MeasureOpsPerSec([&] {
+    mutate_batch(&pooled_db, pooled_at++);
+    return pooled_db.StateRoot(pool).Prefix64();
+  });
+  ReportPooled(out, {"root_update", accounts, "ops/sec", serial_ops,
+                     pooled_ops});
+}
+
+/// The first root of a fresh state — every node stale — serially and on
+/// `pool`, each timed once on its own state.
+void BenchGenesisRoot(size_t accounts, ThreadPool* pool,
+                      std::vector<PooledResult>* out) {
+  auto time_root = [&](ThreadPool* p, Hash256* root) {
+    const StateDB db = FundedState(accounts);
+    const auto start = Clock::now();
+    *root = db.StateRoot(p);
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  Hash256 serial_root, pooled_root;
+  const double serial_s = time_root(nullptr, &serial_root);
+  const double pooled_s = time_root(pool, &pooled_root);
+  if (pooled_root != serial_root ||
+      serial_root != RootFromScratch(FundedState(accounts))) {
+    IdentityFailure("genesis_root", accounts);
+  }
+  ReportPooled(out, {"genesis_root", accounts, "seconds", serial_s, pooled_s});
 }
 
 // ------------------------ snapshot_revert -----------------------------
@@ -389,6 +475,16 @@ int main() {
     std::printf("\n");
   }
 
+  ThreadPool pool(ParallelConfig{}.Resolve());
+  std::printf("root on a %zu-thread pool vs serial:\n", pool.thread_count());
+  bench::Row({"scenario", "accounts", "unit", "serial", "pool", "speedup"});
+  std::vector<PooledResult> pooled;
+  for (const size_t accounts : kPooledAccountCounts) {
+    BenchPooledRootUpdate(accounts, &pool, &pooled);
+  }
+  BenchGenesisRoot(largest, &pool, &pooled);
+  std::printf("\n");
+
   bench::Json doc = bench::Json::Object();
   doc.Set("bench", bench::Json::Str("state_scaling"));
   doc.Set("identity_gate",
@@ -414,6 +510,19 @@ int main() {
     arr.Push(std::move(row));
   }
   doc.Set("results", std::move(arr));
+  bench::Json pooled_arr = bench::Json::Array();
+  for (const PooledResult& r : pooled) {
+    bench::Json row = bench::Json::Object();
+    row.Set("scenario", bench::Json::Str(r.scenario));
+    row.Set("accounts", bench::Json::Int(static_cast<int64_t>(r.accounts)));
+    row.Set("unit", bench::Json::Str(r.unit));
+    row.Set("serial", bench::Json::Num(r.serial));
+    row.Set("pooled", bench::Json::Num(r.pooled));
+    pooled_arr.Push(std::move(row));
+  }
+  doc.Set("pool_threads",
+          bench::Json::Int(static_cast<int64_t>(pool.thread_count())));
+  doc.Set("pooled_root", std::move(pooled_arr));
   bench::Json ledger = bench::Json::Object();
   ledger.Set("accounts", bench::Json::Int(static_cast<int64_t>(growth.accounts)));
   ledger.Set("blocks", bench::Json::Int(kLedgerBlocks));

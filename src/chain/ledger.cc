@@ -18,11 +18,12 @@ bool PowValid(const BlockHeader& header) {
 
 }  // namespace
 
-Ledger::Ledger(ShardId shard_id, StateDB genesis_state, ChainConfig config)
-    : shard_id_(shard_id), config_(config) {
+Ledger::Ledger(ShardId shard_id, StateDB genesis_state, ChainConfig config,
+               ThreadPool* pool)
+    : shard_id_(shard_id), config_(config), pool_(pool) {
   Node genesis;
   genesis.block.header.shard_id = shard_id;
-  genesis.block.header.state_root = genesis_state.StateRoot();
+  genesis.block.header.state_root = genesis_state.StateRoot(pool_);
   genesis.post_state = std::move(genesis_state);
   genesis.height = 0;
   genesis_hash_ = genesis.block.header.Hash();
@@ -167,7 +168,7 @@ Result<Hash256> Ledger::Append(const Block& block) {
     node.post_state = parent.post_state;
     SHARDCHAIN_RETURN_IF_ERROR(ExecuteTransactions(
         block.transactions, block.header.miner, config_, &node.post_state));
-    if (block.header.state_root != node.post_state.StateRoot()) {
+    if (block.header.state_root != node.post_state.StateRoot(pool_)) {
       return Status::Corruption("state root mismatch after execution");
     }
   }
@@ -210,7 +211,7 @@ Result<Block> Ledger::BuildBlock(const Address& miner,
       PackTransactions(std::move(txs), miner, config_, &scratch));
 
   block.header.tx_root = block.ComputeTxRoot();
-  block.header.state_root = scratch.StateRoot();
+  block.header.state_root = scratch.StateRoot(pool_);
   // Retain the executed post-state so an immediate Append of this very
   // block (the common mine-then-record path) can skip re-execution.
   last_built_.emplace(block.header.Hash(), std::move(scratch));

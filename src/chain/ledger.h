@@ -31,11 +31,16 @@ struct ChainConfig {
 /// lists, called ledgers" (Sec. II-A). Each miner in a shard owns a
 /// Ledger restricted to that shard's transactions; MaxShard miners'
 /// ledgers cover everything.
+///
+/// State roots — genesis, BuildBlock's, and Append's re-execution
+/// check — are hashed on `pool` when one is given (not owned; it must
+/// outlive the ledger). The roots are the same bytes without it.
 class Ledger {
  public:
   /// Creates the ledger with an implicit genesis block over
   /// `genesis_state`.
-  Ledger(ShardId shard_id, StateDB genesis_state, ChainConfig config = {});
+  Ledger(ShardId shard_id, StateDB genesis_state, ChainConfig config = {},
+         ThreadPool* pool = nullptr);
 
   ShardId shard_id() const { return shard_id_; }
   const ChainConfig& config() const { return config_; }
@@ -159,6 +164,7 @@ class Ledger {
 
   ShardId shard_id_;
   ChainConfig config_;
+  ThreadPool* pool_;
   Hash256 genesis_hash_;
   Hash256 tip_hash_;
   /// Keyed lookups and parent-hash walks only — the block tree is

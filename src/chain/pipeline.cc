@@ -68,7 +68,9 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
       // the header (FIFO chaining via worker-local prev_hash). Explicit
       // captures only — the closure owns its inputs (block, handed-off
       // state) by value and the worker-confined outputs by pointer
-      // (§9 / tools/parlint).
+      // (§9 / tools/parlint). The root is hashed serially: this thread
+      // runs beside the producer, and the system pool takes one
+      // external caller at a time.
       committer.Submit([block = std::move(block), post = exec_state,
                         out = &prepared, prev = &prev_hash]() mutable {
         block.header.parent_hash = *prev;

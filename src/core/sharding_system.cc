@@ -275,8 +275,8 @@ ShardingSystem::ShardState& ShardingSystem::GetOrCreateShard(ShardId shard) {
   auto it = shards_.find(shard);
   if (it == shards_.end()) {
     ShardState state;
-    state.ledger =
-        std::make_unique<Ledger>(shard, genesis_state_, config_.chain);
+    state.ledger = std::make_unique<Ledger>(shard, genesis_state_,
+                                            config_.chain, pool_.get());
     it = shards_.emplace(shard, std::move(state)).first;
   }
   return it->second;

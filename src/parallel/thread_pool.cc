@@ -71,13 +71,17 @@ void ThreadPool::WorkerLoop() {
       work_cv_.wait(lock, [&] { return stop_ || generation_ != served; });
       if (stop_) return;
       served = generation_;
+      // A region that finished before this worker woke has cleared
+      // job_: nothing to join.
+      if (job_ == nullptr) continue;
       fn = job_;
       chunks = job_chunks_;
+      ++active_workers_;
     }
-    if (fn != nullptr) DrainChunks(*fn, chunks);
+    DrainChunks(*fn, chunks);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--busy_workers_ == 0) done_cv_.notify_all();
+      if (--active_workers_ == 0) done_cv_.notify_all();
     }
   }
 }
@@ -85,32 +89,41 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::Run(size_t num_chunks,
                      const std::function<void(size_t)>& chunk_fn) {
   if (num_chunks == 0) return;
-  if (workers_.empty() || num_chunks == 1 || InParallelRegion()) {
+  bool inline_run = workers_.empty() || num_chunks == 1 || InParallelRegion();
+  if (!inline_run) {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Another external thread's region holds the workers: its job_,
+    // cursor and error slot must not be overwritten.
+    inline_run = running_;
+    if (!inline_run) {
+      running_ = true;
+      job_ = &chunk_fn;
+      job_chunks_ = num_chunks;
+      next_chunk_.store(0, std::memory_order_relaxed);
+      first_error_ = nullptr;
+      ++generation_;
+    }
+  }
+  if (inline_run) {
     // Serial path: inline, in chunk order — bitwise identical to the
-    // pool-free loop (and the only legal behaviour when nested).
+    // pool-free loop (and the only legal behaviour when nested or when
+    // the workers are busy with another caller's region).
     RegionGuard guard;
     for (size_t c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &chunk_fn;
-    job_chunks_ = num_chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    busy_workers_ = workers_.size();
-    ++generation_;
-  }
   work_cv_.notify_all();
 
-  // The calling thread is the final lane.
+  // The calling thread is the final lane. When it returns every chunk
+  // has been claimed, so the region is done once the workers that
+  // joined it finish theirs; workers still asleep are not waited for.
   DrainChunks(chunk_fn, num_chunks);
 
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return busy_workers_ == 0; });
+    done_cv_.wait(lock, [&] { return active_workers_ == 0; });
+    running_ = false;
     job_ = nullptr;
     error = first_error_;
     first_error_ = nullptr;

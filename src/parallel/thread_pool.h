@@ -68,8 +68,10 @@ class ThreadPool {
   /// rethrown on the calling thread after the region drains (remaining
   /// unstarted chunks are skipped).
   ///
-  /// Calls from inside a parallel region (nested parallelism) execute
-  /// the chunks serially inline — same results, no deadlock.
+  /// Calls from inside a parallel region (nested parallelism), and
+  /// calls from a second external thread while another thread's region
+  /// is running, execute the chunks serially inline — same results, no
+  /// deadlock.
   void Run(size_t num_chunks, const std::function<void(size_t)>& chunk_fn);
 
   /// True while the current thread is executing a chunk of some
@@ -89,10 +91,16 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool stop_ = false;
+  /// True while some external thread's region owns the workers; a
+  /// concurrent Run() then takes the inline path.
+  bool running_ = false;
   /// Incremented once per Run(); workers pick up a job when the
   /// generation moves past the one they last served.
   uint64_t generation_ = 0;
-  size_t busy_workers_ = 0;
+  /// Workers that joined the current region and have not left it. The
+  /// caller waits for these only; a worker waking after the region
+  /// ended finds job_ cleared and sleeps again.
+  size_t active_workers_ = 0;
   const std::function<void(size_t)>* job_ = nullptr;
   size_t job_chunks_ = 0;
   std::exception_ptr first_error_;  // Guarded by mu_.

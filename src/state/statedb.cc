@@ -114,7 +114,9 @@ void StateDB::ApplyAccount(const Address& addr, const Account& account) {
   GetOrCreate(addr) = account;
 }
 
-Hash256 StateDB::StateRoot() const { return trie_.RootHash(); }
+Hash256 StateDB::StateRoot(ThreadPool* pool) const {
+  return trie_.RootHash(pool);
+}
 
 MerklePatriciaTrie::Proof StateDB::ProveAccount(const Address& addr) const {
   return trie_.Prove(addr.bytes);

@@ -85,8 +85,10 @@ class StateDB {
 
   /// Authenticated commitment over all accounts: the root of a Merkle
   /// Patricia trie keyed by address, with account digests as values.
-  /// Hashes only the nodes and accounts written since the previous call.
-  Hash256 StateRoot() const;
+  /// Hashes only the nodes and accounts written since the previous call,
+  /// on `pool`'s threads when given (MerklePatriciaTrie::RootHash); the
+  /// root is the same bytes either way.
+  Hash256 StateRoot(ThreadPool* pool = nullptr) const;
 
   /// Merkle Patricia proof that `addr` has the returned digest under
   /// the current StateRoot (or is absent). Verify with VerifyAccount.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "parallel/parallel.h"
+
 namespace shardchain {
 
 namespace {
@@ -82,6 +84,22 @@ Address EntryAddress(const std::vector<uint8_t>& prefix,
   return addr;
 }
 
+/// The exact length Serialize writes for `node`, so the buffer is
+/// allocated once.
+template <typename Node>
+size_t SerializedSize(const Node& node) {
+  const size_t value = 8 + (node.account ? 32 : node.value.size());
+  switch (node.kind) {
+    case Node::Kind::kLeaf:
+      return 1 + 4 + node.path.size() + value;
+    case Node::Kind::kExtension:
+      return 1 + 4 + node.path.size() + 32;
+    case Node::Kind::kBranch:
+      return 1 + 16 * 32 + 1 + value;
+  }
+  return 0;
+}
+
 }  // namespace
 
 Bytes MerklePatriciaTrie::Serialize(const Node& node,
@@ -100,6 +118,7 @@ Bytes MerklePatriciaTrie::Serialize(const Node& node,
     out->insert(out->end(), digest->bytes.begin(), digest->bytes.end());
   };
   Bytes out;
+  out.reserve(SerializedSize(node));
   out.push_back(static_cast<uint8_t>(node.kind));
   switch (node.kind) {
     case Node::Kind::kLeaf: {
@@ -145,9 +164,33 @@ Hash256 MerklePatriciaTrie::HashOf(const Node& node,
   return node.cached_hash;
 }
 
-Hash256 MerklePatriciaTrie::RootHash() const {
+Hash256 MerklePatriciaTrie::RootHash(ThreadPool* pool) const {
+  if (!root_) return Hash256::Zero();
+  // Descend the stale extensions to the first stale branch and hash its
+  // stale children's subtries in parallel; HashOf below then encodes the
+  // branch and its ancestors from their cached hashes.
   std::vector<uint8_t> prefix;
-  return root_ ? HashOf(*root_, &prefix) : Hash256::Zero();
+  const Node* node = root_.get();
+  while (!node->hash_valid && node->kind == Node::Kind::kExtension &&
+         node->children[0]) {
+    prefix.insert(prefix.end(), node->path.begin(), node->path.end());
+    node = node->children[0].get();
+  }
+  if (!node->hash_valid && node->kind == Node::Kind::kBranch) {
+    // Chunk i writes only the caches of nodes under key prefix
+    // `prefix ‖ i`: within one version a node sits under exactly one
+    // prefix (§9 rule 2), and each chunk walks with its own prefix copy.
+    const Node& branch = *node;
+    ParallelFor(pool, 16, /*grain=*/1, [&branch, &prefix](size_t i) {
+      const Node* child = branch.children[i].get();
+      if (child == nullptr || child->hash_valid) return;
+      std::vector<uint8_t> child_prefix = prefix;
+      child_prefix.push_back(static_cast<uint8_t>(i));
+      (void)HashOf(*child, &child_prefix);
+    });
+  }
+  prefix.clear();
+  return HashOf(*root_, &prefix);
 }
 
 // ---------------------------------------------------------------------

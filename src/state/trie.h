@@ -16,6 +16,8 @@
 
 namespace shardchain {
 
+class ThreadPool;
+
 /// \brief A persistent Merkle Patricia-style radix trie over hex
 /// nibbles with structural sharing.
 ///
@@ -58,7 +60,10 @@ namespace shardchain {
 /// version while another writes or reads a copy of it — BlockPipeline's
 /// commit worker hashes the handed-off state while the producer keeps
 /// executing on its own copy — but two threads must not hash versions
-/// that share unhashed nodes at the same time.
+/// that share unhashed nodes at the same time. RootHash(pool) splits
+/// one version's hashing over the pool by subtrie (DESIGN.md §9): the
+/// subtries under one branch share no node, so each chunk writes only
+/// its own nodes' caches.
 ///
 /// Keys are arbitrary byte strings, walked a nibble at a time. The
 /// empty trie hashes to Hash256::Zero().
@@ -93,8 +98,11 @@ class MerklePatriciaTrie {
   bool Empty() const { return size_ == 0; }
 
   /// Root commitment. O(dirty spine) — hashes are cached per node and
-  /// only nodes written since the last RootHash() are re-hashed.
-  Hash256 RootHash() const;
+  /// only nodes written since the last RootHash() are re-hashed. With a
+  /// pool, the stale subtries under the first branch that has any are
+  /// hashed in parallel, one chunk per child; the bytes and the node
+  /// caches are the serial walk's (`pool == nullptr`).
+  Hash256 RootHash(ThreadPool* pool = nullptr) const;
 
   /// All (key, value) pairs in lexicographic key order (account
   /// entries carry an empty value).

@@ -5,9 +5,12 @@
 // strictly serial threads=1 run. This is the Sec. IV-C requirement in
 // executable form: a miner's plan bytes may not depend on how many
 // cores her machine has. A chaos-suite schedule re-run with threads=4
-// closes the loop end-to-end through the liveness simulator.
+// closes the loop end-to-end through the liveness simulator. State
+// roots hashed on the pool (subtries in parallel) must equal the
+// serial walk's and a from-scratch rebuild's.
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "net/faults.h"
 #include "parallel/thread_pool.h"
 #include "sim/liveness.h"
+#include "state/statedb.h"
+#include "state/trie.h"
 
 namespace shardchain {
 namespace {
@@ -136,6 +141,225 @@ TEST(ParallelEquivalence, MerkleRootAndVrfBatchesMatchSerial) {
   }
 }
 
+// --- State roots hashed on the pool ----------------------------------
+
+/// Keys with low-entropy leading bytes, so roots are branches over
+/// extensions over branches, and lengths vary (values on branches).
+Bytes RootKey(uint64_t n) {
+  Bytes key;
+  key.push_back(static_cast<uint8_t>(n % 11));
+  key.push_back(static_cast<uint8_t>(n % 17));
+  if (n % 3 != 0) key.push_back(static_cast<uint8_t>(n >> 5));
+  return key;
+}
+
+/// The reference contents, keyed by the key bytes as a string (a
+/// std::map over Bytes keys trips GCC 12's -Wstringop-overread, gcc PR
+/// 105651, under -Werror).
+using Model = std::map<std::string, Bytes>;
+
+std::string ModelKey(const Bytes& key) {
+  return std::string(key.begin(), key.end());
+}
+
+/// A seeded Put/Delete history, applied to `trie` and to `model`.
+void SeededHistory(uint64_t seed, int steps, MerklePatriciaTrie* trie,
+                   Model* model) {
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const Bytes key = RootKey(rng.Next() % 3000);
+    if (rng.UniformInt(100) < 75) {
+      const Bytes value = {static_cast<uint8_t>(rng.Next()),
+                           static_cast<uint8_t>(step)};
+      (*model)[ModelKey(key)] = value;
+      trie->Put(key, value);
+    } else {
+      trie->Delete(key);
+      model->erase(ModelKey(key));
+    }
+  }
+}
+
+Hash256 RebuiltRoot(const Model& model) {
+  MerklePatriciaTrie scratch;
+  for (const auto& [key, value] : model) {
+    scratch.Put(Bytes(key.begin(), key.end()), value);
+  }
+  return scratch.RootHash();
+}
+
+/// The root at every thread count, each on a trie freshly built by
+/// `build` (so every run hashes the whole trie), must equal the serial
+/// walk and the rebuild of `model`; proofs must verify against it.
+template <typename Build>
+void ExpectPooledRootsMatch(const Build& build,
+                            const Model& model,
+                            const std::string& shape) {
+  const Hash256 serial = build().RootHash();
+  ASSERT_EQ(serial, RebuiltRoot(model)) << shape;
+  for (const size_t threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const MerklePatriciaTrie trie = build();
+    ASSERT_EQ(trie.RootHash(&pool), serial)
+        << shape << ", " << threads << " threads";
+    ASSERT_EQ(trie.RootHash(&pool), serial) << "cached root, " << shape;
+    for (uint64_t probe = 0; probe < 24; ++probe) {
+      const Bytes key = RootKey(probe * 131);
+      auto verified =
+          MerklePatriciaTrie::VerifyProof(serial, key, trie.Prove(key));
+      ASSERT_TRUE(verified.ok()) << shape << ": " << verified.status().ToString();
+      ASSERT_EQ(*verified, trie.Get(key)) << shape;
+    }
+  }
+  MerklePatriciaTrie unpooled = build();
+  ASSERT_EQ(unpooled.RootHash(nullptr), serial) << shape;
+}
+
+TEST(ParallelStateRoot, SeededByteTriesMatchSerialAndRebuild) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Model model;
+    MerklePatriciaTrie reference;
+    SeededHistory(seed, 900, &reference, &model);
+    ExpectPooledRootsMatch(
+        [seed] {
+          MerklePatriciaTrie trie;
+          Model unused;
+          SeededHistory(seed, 900, &trie, &unused);
+          return trie;
+        },
+        model, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(ParallelStateRoot, RootShapesMatchSerialAndRebuild) {
+  struct Shape {
+    const char* name;
+    std::vector<std::pair<Bytes, Bytes>> entries;
+  };
+  std::vector<std::pair<Bytes, Bytes>> wide;
+  for (uint64_t n = 0; n < 64; ++n) wide.push_back({RootKey(n), {uint8_t(n)}});
+  const Shape shapes[] = {
+      {"empty", {}},
+      {"single leaf", {{{0x12, 0x34}, {1}}}},
+      // Every key starts with nibbles 1,2: an extension above a branch.
+      {"extension root", {{{0x12, 0x34}, {1}}, {{0x12, 0x56}, {2}},
+                          {{0x12, 0x57, 0x01}, {3}}}},
+      // The empty key puts a value on the root branch; {0x12} one on an
+      // inner branch.
+      {"branch holding a value", {{{}, {9}}, {{0x12}, {1}},
+                                  {{0x12, 0x34}, {2}}, {{0x56}, {3}}}},
+      {"wide branch", wide},
+  };
+  for (const Shape& shape : shapes) {
+    Model model;
+    for (const auto& [key, value] : shape.entries) {
+      model[ModelKey(key)] = value;
+    }
+    ExpectPooledRootsMatch(
+        [&shape] {
+          MerklePatriciaTrie trie;
+          for (const auto& [key, value] : shape.entries) trie.Put(key, value);
+          return trie;
+        },
+        model, shape.name);
+  }
+}
+
+TEST(ParallelStateRoot, BranchWithOneStaleChildMatchesSerial) {
+  Model model;
+  MerklePatriciaTrie base;
+  SeededHistory(77, 600, &base, &model);
+  (void)base.RootHash();
+  // One write after a full hash: the root branch has one stale child.
+  const Bytes key = RootKey(5);
+  model[ModelKey(key)] = {0xee};
+  for (const size_t threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    MerklePatriciaTrie trie = base;
+    trie.Put(key, {0xee});
+    ASSERT_EQ(trie.RootHash(&pool), RebuiltRoot(model))
+        << threads << " threads";
+  }
+}
+
+TEST(ParallelStateRoot, CopyWrittenAfterPooledHashMatchesSerialModel) {
+  for (const size_t threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    Model model;
+    MerklePatriciaTrie trie;
+    SeededHistory(5, 700, &trie, &model);
+    const Hash256 root = trie.RootHash(&pool);
+    ASSERT_EQ(root, RebuiltRoot(model));
+
+    // Rounds of writes on a copy, each re-hashed on the pool; the
+    // original keeps its root, the copy tracks the serial model.
+    MerklePatriciaTrie copy = trie;
+    Model copy_model = model;
+    for (uint64_t round = 0; round < 4; ++round) {
+      SeededHistory(100 + round, 40, &copy, &copy_model);
+      ASSERT_EQ(copy.RootHash(&pool), RebuiltRoot(copy_model))
+          << "round " << round << ", " << threads << " threads";
+    }
+    ASSERT_EQ(trie.RootHash(&pool), root) << "the copy's writes leaked";
+  }
+}
+
+/// A seeded account state: balances, nonces, storage, contract code.
+StateDB SeededAccounts(uint64_t seed, size_t accounts) {
+  Rng rng(seed);
+  StateDB db;
+  for (size_t i = 0; i < accounts; ++i) {
+    const Address addr = Address::FromHash(
+        Sha256Digest("acct." + std::to_string(seed) + "." + std::to_string(i)));
+    db.Mint(addr, 1 + rng.UniformInt(1'000'000));
+    db.GetOrCreate(addr).nonce = rng.UniformInt(9);
+    if (i % 7 == 0) {
+      db.StorageSet(addr, rng.UniformInt(4), static_cast<int64_t>(rng.Next()));
+    }
+    if (i % 31 == 0) (void)db.DeployContract(addr, {0x01, uint8_t(i)});
+  }
+  return db;
+}
+
+/// The account root from scratch: a byte trie of account digests.
+Hash256 AccountRootFromScratch(const StateDB& db) {
+  MerklePatriciaTrie trie;
+  for (const Address& addr : db.Addresses()) {
+    const Hash256 digest = db.Find(addr)->Digest(addr);
+    trie.Put(Bytes(addr.bytes.begin(), addr.bytes.end()),
+             Bytes(digest.bytes.begin(), digest.bytes.end()));
+  }
+  return trie.RootHash();
+}
+
+TEST(ParallelStateRoot, SeededAccountTriesMatchSerialAndRebuild) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const size_t accounts = 1 + 300 * seed;
+    const Hash256 serial = SeededAccounts(seed, accounts).StateRoot();
+    ASSERT_EQ(serial, AccountRootFromScratch(SeededAccounts(seed, accounts)));
+    for (const size_t threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      StateDB db = SeededAccounts(seed, accounts);
+      ASSERT_EQ(db.StateRoot(&pool), serial)
+          << "seed " << seed << ", " << threads << " threads";
+      for (const Address& addr : {db.Addresses().front(), Address{}}) {
+        auto verified =
+            StateDB::VerifyAccount(serial, addr, db.ProveAccount(addr));
+        ASSERT_TRUE(verified.ok());
+        ASSERT_EQ(verified->has_value(), db.Find(addr) != nullptr);
+      }
+      // A copy written after the pooled hash re-hashes to the rebuild.
+      StateDB copy = db;
+      for (const Address& addr : db.Addresses()) {
+        if (addr.bytes[0] % 5 == 0) copy.Mint(addr, 3);
+      }
+      copy.Mint(Address::FromHash(Sha256Digest("fresh")), 11);
+      ASSERT_EQ(copy.StateRoot(&pool), AccountRootFromScratch(copy));
+      ASSERT_EQ(db.StateRoot(&pool), serial) << "the copy's writes leaked";
+    }
+  }
+}
+
 TEST(ParallelEquivalence, ShardingSystemEpochIdenticalAcrossThreadCounts) {
   // Whole-system differential: drive identical workloads through one
   // system per thread count and compare every consensus-visible output.
@@ -168,6 +392,14 @@ TEST(ParallelEquivalence, ShardingSystemEpochIdenticalAcrossThreadCounts) {
     for (const ShardSelectionPlan& p : sys.ComputeShardSelectionPlans()) {
       out.push_back(codec::EncodeUnifiedParameters(p.params));
       out.push_back(codec::EncodeSelectionPlan(p.plan));
+    }
+    // Mined blocks: their state roots are hashed on the system pool.
+    for (NodeId m = 0; m < 6; ++m) {
+      Result<Hash256> mined = sys.MineBlock(m);
+      if (!mined.ok()) continue;
+      const Block* block =
+          sys.ShardLedger(sys.ShardOfMiner(m))->Find(*mined);
+      out.push_back(codec::EncodeBlock(*block));
     }
     return out;
   };

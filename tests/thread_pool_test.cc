@@ -5,10 +5,16 @@
 // thread count and scheduling, including the pool-free serial path.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,6 +171,54 @@ TEST(ThreadPoolTest, NestedParallelForSerializesInline) {
     }
   }
   EXPECT_FALSE(ThreadPool::InParallelRegion());
+}
+
+TEST(ThreadPoolTest, ConcurrentExternalCallersEachGetTheirOwnRegion) {
+  // Two threads outside the pool call Run() on it at once, many times.
+  // Each region must run exactly its own chunks with its own function
+  // (a caller that finds the workers busy runs inline), and neither
+  // caller may hang. A watchdog turns a deadlock into a failure.
+  ThreadPool pool(4);
+  constexpr size_t kRegions = 400, kChunks = 48;
+  std::vector<size_t> bad_regions(2, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t finished = 0;
+  auto caller = [&](size_t who) {
+    std::vector<uint64_t> out(kChunks);
+    for (size_t region = 0; region < kRegions; ++region) {
+      std::fill(out.begin(), out.end(), 0);
+      pool.Run(kChunks, [&out, who, region](size_t c) {
+        out[c] += (who + 1) * 1'000'000 + region * 100 + c;
+      });
+      for (size_t c = 0; c < kChunks; ++c) {
+        if (out[c] != (who + 1) * 1'000'000 + region * 100 + c) {
+          ++bad_regions[who];
+          break;
+        }
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ++finished;
+    cv.notify_all();
+  };
+  std::thread a(caller, 0), b(caller, 1);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(60),
+                     [&] { return finished == 2; })) {
+      std::fprintf(stderr, "concurrent Run() callers deadlocked\n");
+      std::_Exit(EXIT_FAILURE);
+    }
+  }
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_regions[0], 0u);
+  EXPECT_EQ(bad_regions[1], 0u);
+  // The pool still serves a single caller normally afterwards.
+  std::atomic<size_t> ran{0};
+  pool.Run(kChunks, [&ran](size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), kChunks);
 }
 
 TEST(ParallelForTest, EmptyAndSingleElementRanges) {
