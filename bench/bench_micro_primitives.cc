@@ -26,7 +26,8 @@ using namespace shardchain;
 
 // Hashing benches come in scalar/dispatched pairs: `scalar` runs the
 // portable compression, `dispatched` the one the library selected for
-// this CPU (printed as the sha256_compression context line).
+// this CPU (printed as the sha256_compression context line; the
+// 32-byte path is the sha256_digest32 line).
 void BM_Sha256(benchmark::State& state,
                sha256_internal::CompressFn compress) {
   const std::string data(static_cast<size_t>(state.range(0)), 'x');
@@ -56,14 +57,14 @@ void BM_LamportSign(benchmark::State& state) {
 }
 BENCHMARK(BM_LamportSign);
 
-/// `Verify` (crypto/keys.cc) with the compression made explicit: one
-/// single-block digest per revealed preimage.
-bool VerifyWith(sha256_internal::CompressFn compress, const PublicKey& pk,
-                const Hash256& message_digest, const Signature& sig) {
+/// `Verify` (crypto/keys.cc) through the portable compression: one
+/// single-block scalar digest per revealed preimage.
+bool VerifyScalar(const PublicKey& pk, const Hash256& message_digest,
+                  const Signature& sig) {
   for (int i = 0; i < 256; ++i) {
     const Hash256& pre = sig.preimages[i];
-    if (sha256_internal::DigestWith(compress, pre.bytes.data(),
-                                    pre.bytes.size()) !=
+    if (sha256_internal::DigestWith(&sha256_internal::CompressScalar,
+                                    pre.bytes.data(), pre.bytes.size()) !=
         pk.hashes[i][DigestBit(message_digest, i)]) {
       return false;
     }
@@ -71,22 +72,48 @@ bool VerifyWith(sha256_internal::CompressFn compress, const PublicKey& pk,
   return true;
 }
 
-void BM_LamportVerify(benchmark::State& state,
-                      sha256_internal::CompressFn compress) {
+/// `scalar` times the portable rounds; `dispatched` times the library
+/// `Verify` itself, i.e. the 32-byte kernel `Sha256Digest` selected.
+void BM_LamportVerify(benchmark::State& state, bool scalar) {
   KeyPair kp = KeyPair::FromSeed(2);
   const Hash256 msg = Sha256Digest("message");
   const Signature sig = kp.Sign(msg);
-  if (VerifyWith(compress, kp.public_key(), msg, sig) !=
-      Verify(kp.public_key(), msg, sig)) {
-    state.SkipWithError("VerifyWith disagrees with Verify");
+  if (!VerifyScalar(kp.public_key(), msg, sig) ||
+      !Verify(kp.public_key(), msg, sig)) {
+    state.SkipWithError("a genuine signature did not verify");
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(VerifyWith(compress, kp.public_key(), msg, sig));
+    benchmark::DoNotOptimize(
+        scalar ? VerifyScalar(kp.public_key(), msg, sig)
+               : Verify(kp.public_key(), msg, sig));
   }
 }
-BENCHMARK_CAPTURE(BM_LamportVerify, scalar, &sha256_internal::CompressScalar);
-BENCHMARK_CAPTURE(BM_LamportVerify, dispatched,
-                  sha256_internal::SelectedCompress());
+BENCHMARK_CAPTURE(BM_LamportVerify, scalar, true);
+BENCHMARK_CAPTURE(BM_LamportVerify, dispatched, false);
+
+/// One 32-byte digest (a Lamport preimage), each input the previous
+/// digest so the calls cannot overlap: `scalar` is the portable
+/// one-shot path, `dispatched` the library `Sha256Digest`.
+void BM_Sha256Digest32(benchmark::State& state, bool scalar) {
+  Hash256 h = Sha256Digest("seed");
+  for (auto _ : state) {
+    h = scalar ? sha256_internal::DigestWith(&sha256_internal::CompressScalar,
+                                             h.bytes.data(), h.bytes.size())
+               : Sha256Digest(h.bytes.data(), h.bytes.size());
+    benchmark::DoNotOptimize(h);
+  }
+}
+BENCHMARK_CAPTURE(BM_Sha256Digest32, scalar, true);
+BENCHMARK_CAPTURE(BM_Sha256Digest32, dispatched, false);
+
+/// Key generation: 512 random preimages and their 32-byte digests.
+void BM_LamportKeygen(benchmark::State& state) {
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KeyPair::FromSeed(seed++));
+  }
+}
+BENCHMARK(BM_LamportKeygen);
 
 void BM_VrfEvaluate(benchmark::State& state) {
   KeyPair kp = KeyPair::FromSeed(3);
@@ -184,6 +211,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("sha256_compression",
                               sha256_internal::SelectedCompressName());
+  benchmark::AddCustomContext("sha256_digest32",
+                              sha256_internal::SelectedDigest32Name());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

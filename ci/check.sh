@@ -119,19 +119,28 @@ run_matrix_leg() {
 }
 
 # SHA-256 dispatch check: prints the compression the library selected
-# (DESIGN.md §2). A CPU that lists sha_ni must get the SHA-NI rounds,
-# so a silent fallback to the scalar rounds cannot pass unnoticed.
+# and the path 32-byte digests take (DESIGN.md §2, §7). A CPU that
+# lists sha_ni must get the SHA-NI rounds and the SHA-NI 32-byte
+# kernel, so a silent fallback to scalar cannot pass unnoticed.
 check_sha256_dispatch() {
-  local dir="$1" selected
+  local dir="$1" report selected selected32
   echo "==== sha256 dispatch $dir ===="
-  selected="$("$dir/tests/shardchain_tests" \
-    --gtest_filter=Sha256DispatchTest.ReportsSelectedCompression |
-    sed -n 's/^sha256 compression: //p')"
+  report="$("$dir/tests/shardchain_tests" \
+    --gtest_filter=Sha256DispatchTest.ReportsSelectedCompression)"
+  selected="$(sed -n 's/^sha256 compression: //p' <<<"$report")"
+  selected32="$(sed -n 's/^sha256 32-byte digest: //p' <<<"$report")"
   echo "sha256 compression: ${selected:-<not reported>}"
-  if grep -qw sha_ni /proc/cpuinfo 2>/dev/null &&
-     [ "$selected" != "sha-ni" ]; then
-    echo "FAIL: /proc/cpuinfo lists sha_ni but '$selected' was selected" >&2
-    exit 1
+  echo "sha256 32-byte digest: ${selected32:-<not reported>}"
+  if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+    if [ "$selected" != "sha-ni" ]; then
+      echo "FAIL: /proc/cpuinfo lists sha_ni but '$selected' was selected" >&2
+      exit 1
+    fi
+    if [ "$selected32" != "sha-ni" ]; then
+      echo "FAIL: /proc/cpuinfo lists sha_ni but the 32-byte digest" \
+        "path is '$selected32'" >&2
+      exit 1
+    fi
   fi
 }
 

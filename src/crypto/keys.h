@@ -22,9 +22,15 @@ namespace shardchain {
 /// the secret key is 2x256 random preimages, the public key their
 /// hashes, and a signature reveals one preimage per digest bit.
 /// Verification is fully public; forgery requires inverting SHA-256.
-/// (One-time use suffices: simulated actors sign logically independent
-/// statements and the security experiments model adversaries at the
-/// protocol level, not the signature level.)
+///
+/// KNOWN GAP: a Lamport key is safe for one signature only, yet keys
+/// are reused. `MinerRecord::keys` signs every epoch's seed (VRF
+/// proofs), and an account key signs every nonce. Each signature
+/// reveals more preimages, so after a dozen or so signatures an
+/// observer can forge for that key. The security experiments model
+/// adversaries at the protocol level, not the signature level, so they
+/// do not exercise this; the fix (a Merkle tree of W-OTS+ keys per
+/// identity) is open under ROADMAP aim 3.
 struct PublicKey {
   /// hash[i][b] commits to the preimage revealed when digest bit i == b.
   std::array<std::array<Hash256, 2>, 256> hashes;

@@ -124,15 +124,46 @@ void CompressScalar(uint32_t state[8], const uint8_t* data, size_t nblocks) {
 }
 
 #if defined(__x86_64__)
-// The target attribute enables the SHA extensions for this function
+// The target attributes enable the SHA extensions for these functions
 // only, so the rest of the binary still runs on any x86-64 CPU.
-__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
-    uint32_t state[8], const uint8_t* data, size_t nblocks) {
-  // Message words are big-endian; this shuffle byte-swaps each lane.
-  const __m128i byte_swap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  // sha256rnds2 keeps the eight working variables as two vectors,
-  // ABEF and CDGH (most significant lane first).
+#define SHARDCHAIN_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+namespace {
+
+/// Byte-swaps each 32-bit lane: message words are big-endian.
+SHARDCHAIN_SHA_NI_TARGET inline __m128i ByteSwapMask() {
+  return _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+}
+
+/// The 64 rounds of one block on the two state vectors `sha256rnds2`
+/// keeps, ABEF and CDGH (most significant lane first). `m` holds the
+/// block's 16 message words, four per vector in load order; the
+/// schedule extends them in place, four words per group. The caller
+/// adds the input state afterwards.
+SHARDCHAIN_SHA_NI_TARGET __attribute__((always_inline)) inline void
+ShaNiRounds(__m128i& abef, __m128i& cdgh, __m128i m[4]) {
+#pragma GCC unroll 16
+  for (int j = 0; j < 16; ++j) {
+    if (j >= 4) {
+      const __m128i w7 = _mm_alignr_epi8(m[(j + 3) & 3], m[(j + 2) & 3], 4);
+      m[j & 3] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(m[j & 3], m[(j + 1) & 3]), w7),
+          m[(j + 3) & 3]);
+    }
+    const __m128i wk = _mm_add_epi32(
+        m[j & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(
+                      kRoundConstants + 4 * j)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  }
+}
+
+}  // namespace
+
+SHARDCHAIN_SHA_NI_TARGET void CompressShaNi(uint32_t state[8],
+                                            const uint8_t* data,
+                                            size_t nblocks) {
+  const __m128i byte_swap = ByteSwapMask();
   const __m128i dcba =
       _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<__m128i*>(state)),
                         0xB1);  // lanes B A D C
@@ -145,28 +176,13 @@ __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
   for (; nblocks > 0; --nblocks, data += 64) {
     const __m128i abef_in = abef;
     const __m128i cdgh_in = cdgh;
-    // m[j & 3] holds message words 4j..4j+3 of the current group; the
-    // schedule extends them in place, four words per group.
     __m128i m[4];
     for (int j = 0; j < 4; ++j) {
       m[j] = _mm_shuffle_epi8(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)),
           byte_swap);
     }
-#pragma GCC unroll 16
-    for (int j = 0; j < 16; ++j) {
-      if (j >= 4) {
-        const __m128i w7 = _mm_alignr_epi8(m[(j + 3) & 3], m[(j + 2) & 3], 4);
-        m[j & 3] = _mm_sha256msg2_epu32(
-            _mm_add_epi32(_mm_sha256msg1_epu32(m[j & 3], m[(j + 1) & 3]), w7),
-            m[(j + 3) & 3]);
-      }
-      const __m128i wk = _mm_add_epi32(
-          m[j & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(
-                        kRoundConstants + 4 * j)));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-    }
+    ShaNiRounds(abef, cdgh, m);
     abef = _mm_add_epi32(abef, abef_in);
     cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
@@ -178,6 +194,48 @@ __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
                    _mm_alignr_epi8(dchg, feba, 8));
 }
+
+SHARDCHAIN_SHA_NI_TARGET Hash256 Digest32ShaNi(const uint8_t* data) {
+  // A 32-byte message pads to exactly one block whose second half is
+  // fixed: word 8 is the 0x80 terminator, words 9-14 are zero and word
+  // 15 is the bit length, 256. The state starts at the IV.
+  const __m128i abef_iv = _mm_set_epi32(
+      static_cast<int>(kInitialState[0]), static_cast<int>(kInitialState[1]),
+      static_cast<int>(kInitialState[4]), static_cast<int>(kInitialState[5]));
+  const __m128i cdgh_iv = _mm_set_epi32(
+      static_cast<int>(kInitialState[2]), static_cast<int>(kInitialState[3]),
+      static_cast<int>(kInitialState[6]), static_cast<int>(kInitialState[7]));
+  const __m128i byte_swap = ByteSwapMask();
+  __m128i m[4] = {
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data)), byte_swap),
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16)),
+          byte_swap),
+      _mm_set_epi32(0, 0, 0, static_cast<int>(0x80000000u)),
+      _mm_set_epi32(256, 0, 0, 0)};
+  __m128i abef = abef_iv;
+  __m128i cdgh = cdgh_iv;
+  ShaNiRounds(abef, cdgh, m);
+  abef = _mm_add_epi32(abef, abef_iv);
+  cdgh = _mm_add_epi32(cdgh, cdgh_iv);
+
+  // Reversing all 16 bytes of a vector reverses its lanes and
+  // byte-swaps each word: ABEF becomes the big-endian bytes of A B E F
+  // and CDGH those of C D G H; the digest is A B C D | E F G H.
+  const __m128i reverse =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  const __m128i abef_be = _mm_shuffle_epi8(abef, reverse);
+  const __m128i cdgh_be = _mm_shuffle_epi8(cdgh, reverse);
+  Hash256 out;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.bytes.data()),
+                   _mm_unpacklo_epi64(abef_be, cdgh_be));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.bytes.data() + 16),
+                   _mm_unpackhi_epi64(abef_be, cdgh_be));
+  return out;
+}
+
+#undef SHARDCHAIN_SHA_NI_TARGET
 #endif  // __x86_64__
 
 bool CpuHasShaNi() {
@@ -205,6 +263,24 @@ CompressFn SelectedCompress() {
 
 const char* SelectedCompressName() {
   return SelectedCompress() == &CompressScalar ? "scalar" : "sha-ni";
+}
+
+namespace {
+
+/// Whether `Sha256Digest` hashes a 32-byte input with `Digest32ShaNi`:
+/// exactly when the selected compression is the SHA-NI one.
+bool Digest32OnShaNi() {
+#if defined(__x86_64__)
+  return SelectedCompress() == &CompressShaNi;
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+const char* SelectedDigest32Name() {
+  return Digest32OnShaNi() ? "sha-ni" : "scalar";
 }
 
 Hash256 DigestWith(CompressFn compress, const uint8_t* data, size_t len) {
@@ -266,6 +342,12 @@ Hash256 Sha256::Finalize() {
 }
 
 Hash256 Sha256Digest(const uint8_t* data, size_t len) {
+#if defined(__x86_64__)
+  // Lamport keys, signatures and VRF proofs hash 32-byte preimages.
+  if (len == 32 && sha256_internal::Digest32OnShaNi()) {
+    return sha256_internal::Digest32ShaNi(data);
+  }
+#endif
   return sha256_internal::DigestWith(SelectedCompress(), data, len);
 }
 

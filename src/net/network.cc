@@ -28,10 +28,30 @@ const char* MsgKindName(MsgKind kind) {
 }
 
 void Network::Register(NodeId node, ShardId shard) {
-  shard_of_[node] = shard;
+  auto [it, inserted] = shard_of_.try_emplace(node, shard);
+  if (!inserted) {
+    if (it->second == shard) return;
+    RemoveMember(it->second, node);
+    it->second = shard;
+  }
+  std::vector<NodeId>& list = members_[shard];
+  list.insert(std::lower_bound(list.begin(), list.end(), node), node);
 }
 
-void Network::Unregister(NodeId node) { shard_of_.erase(node); }
+void Network::Unregister(NodeId node) {
+  auto it = shard_of_.find(node);
+  if (it == shard_of_.end()) return;
+  RemoveMember(it->second, node);
+  shard_of_.erase(it);
+}
+
+void Network::RemoveMember(ShardId shard, NodeId node) {
+  auto it = members_.find(shard);
+  assert(it != members_.end());
+  std::vector<NodeId>& list = it->second;
+  list.erase(std::lower_bound(list.begin(), list.end(), node));
+  if (list.empty()) members_.erase(it);
+}
 
 ShardId Network::ShardOf(NodeId node) const {
   auto it = shard_of_.find(node);
@@ -39,11 +59,8 @@ ShardId Network::ShardOf(NodeId node) const {
 }
 
 std::vector<NodeId> Network::Members(ShardId shard) const {
-  std::vector<NodeId> out;
-  for (const auto& [node, s] : shard_of_) {
-    if (s == shard) out.push_back(node);
-  }
-  return out;  // Already ascending: shard_of_ is ordered by NodeId.
+  auto it = members_.find(shard);
+  return it == members_.end() ? std::vector<NodeId>{} : it->second;
 }
 
 void Network::Account(NodeId from, NodeId to, MsgKind kind) {
@@ -78,9 +95,16 @@ void Network::Broadcast(NodeId from, MsgKind kind, SimTime now) {
 
 void Network::MulticastShard(NodeId from, ShardId shard, MsgKind kind,
                              SimTime now) {
-  for (const auto& [node, s] : shard_of_) {
-    if (s == shard && node != from && !Suppressed(from, node, now)) {
-      Account(from, node, kind);
+  auto it = members_.find(shard);
+  if (it == members_.end()) return;
+  // Every target is in `shard`, so one comparison decides whether the
+  // whole multicast crosses a shard boundary.
+  const size_t k = static_cast<size_t>(kind);
+  const bool cross = ShardOf(from) != shard;
+  for (NodeId node : it->second) {
+    if (node != from && !Suppressed(from, node, now)) {
+      ++total_[k];
+      if (cross) ++cross_shard_[k];
     }
   }
 }

@@ -53,6 +53,12 @@ class FaultPlan;
 /// With a FaultPlan attached, sends involving a crashed endpoint or
 /// crossing an active partition are suppressed instead of counted —
 /// the accounting then reflects the traffic that actually flows.
+///
+/// Besides each node's shard, the network keeps one member list per
+/// shard (ascending NodeId, updated by Register/Unregister). Every
+/// submitted transaction is multicast to its shard, so that walk costs
+/// the shard's size, not the network's; the counts equal a filter over
+/// all nodes (tests/network_members_test.cc).
 class Network {
  public:
   Network() = default;
@@ -69,7 +75,7 @@ class Network {
   ShardId ShardOf(NodeId node) const;
   size_t NodeCount() const { return shard_of_.size(); }
 
-  /// Nodes currently assigned to `shard`.
+  /// Nodes currently assigned to `shard`, ascending.
   std::vector<NodeId> Members(ShardId shard) const;
 
   /// Attaches a fault injector (non-owning; nullptr restores perfect
@@ -85,7 +91,8 @@ class Network {
   /// N-1 messages, minus any the fault plan suppresses).
   void Broadcast(NodeId from, MsgKind kind, SimTime now = 0.0);
 
-  /// Records a multicast to every node in `shard` other than `from`.
+  /// Records a multicast to every node in `shard` other than `from`,
+  /// walking only that shard's member list.
   void MulticastShard(NodeId from, ShardId shard, MsgKind kind,
                       SimTime now = 0.0);
 
@@ -112,10 +119,19 @@ class Network {
   void Account(NodeId from, NodeId to, MsgKind kind);
   bool Suppressed(NodeId from, NodeId to, SimTime now);
 
-  /// Ordered by NodeId so Broadcast/MulticastShard walk the membership
-  /// in one fixed order on every miner — delivery and accounting order
-  /// must not depend on hash-bucket layout (Sec. IV-C determinism).
+  /// Drops `node` from `shard`'s member list (and the list once empty).
+  void RemoveMember(ShardId shard, NodeId node);
+
+  /// Ordered by NodeId so Broadcast walks the membership in one fixed
+  /// order on every miner — delivery and accounting order must not
+  /// depend on hash-bucket layout (Sec. IV-C determinism).
   std::map<NodeId, ShardId> shard_of_;
+  /// Each shard's members, ascending by NodeId: the same nodes and
+  /// order as filtering `shard_of_` by shard, kept in step by
+  /// Register/Unregister so MulticastShard and Members walk one shard's
+  /// nodes instead of the whole network. Shards with no members have no
+  /// entry.
+  std::map<ShardId, std::vector<NodeId>> members_;
   std::array<uint64_t, kMsgKindCount> total_{};
   std::array<uint64_t, kMsgKindCount> cross_shard_{};
   FaultPlan* faults_ = nullptr;

@@ -121,6 +121,39 @@ TEST(KeysTest, FingerprintIsStableAndUnique) {
   EXPECT_NE(a.public_key().Fingerprint(), b.public_key().Fingerprint());
 }
 
+/// Fingerprints pinned before 32-byte digests took their own SHA-NI
+/// kernel: key generation hashes 512 preimages of 32 bytes each, so any
+/// byte the kernel got wrong would move these.
+TEST(KeysTest, FingerprintsArePinned) {
+  const char* kPinned[] = {
+      "6059d80c11f11b8cbc33c58a9182287f9f53cce71c5d8b6844dcce526b36477b",
+      "da2aa719d72749a606b585b3d9b54fa3082f3bb221e7b0e6b7ec7394622c3de0",
+      "952d755e08ac2549a5e5a5d0f378c7a10fc29b485eced8bc495a31e8706f0e59",
+  };
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(KeyPair::FromSeed(seed).public_key().Fingerprint().ToHex(),
+              kPinned[seed - 1])
+        << "seed=" << seed;
+  }
+}
+
+/// Verify hashes every revealed preimage: one flipped bit in the first,
+/// a middle or the last preimage fails it, and so does a genuine
+/// signature checked against another key.
+TEST(KeysTest, VerifyRejectsOneBitFlipInFirstMiddleAndLastPreimage) {
+  KeyPair kp = KeyPair::FromSeed(8);
+  KeyPair other = KeyPair::FromSeed(9);
+  const Hash256 msg = Sha256Digest("one bit");
+  const Signature sig = kp.Sign(msg);
+  ASSERT_TRUE(Verify(kp.public_key(), msg, sig));
+  for (int i : {0, 127, 255}) {
+    Signature flipped = sig;
+    flipped.preimages[i].bytes[i % 32] ^= 0x01;
+    EXPECT_FALSE(Verify(kp.public_key(), msg, flipped)) << "preimage=" << i;
+  }
+  EXPECT_FALSE(Verify(other.public_key(), msg, sig));
+}
+
 TEST(KeysTest, DigestBitExtraction) {
   Hash256 d;
   d.bytes[0] = 0b10000001;

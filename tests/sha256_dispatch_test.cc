@@ -1,8 +1,9 @@
 // Differential test of the two SHA-256 compression functions: the
 // scalar rounds (fallback and oracle) and the SHA-NI rounds the
-// library selects when the CPU has them. Both must produce the same
-// bytes on every input, or the hardware a miner runs on would change
-// consensus (DESIGN.md §7).
+// library selects when the CPU has them, plus the one-block SHA-NI
+// kernel for 32-byte inputs. All must produce the same bytes on every
+// input, or the hardware a miner runs on would change consensus
+// (DESIGN.md §7).
 
 #include <algorithm>
 #include <cstdint>
@@ -144,13 +145,76 @@ TEST(Sha256DispatchTest, RandomSplitsMatchScalarOracle) {
   }
 }
 
-/// Prints the selected compression (ci/check.sh reads this line) and
-/// checks that the selection follows the CPU.
+/// 32-byte inputs (Lamport preimages) take their own one-block kernel
+/// on SHA-NI CPUs. Known answers first, through the library entry point
+/// and the scalar oracle.
+TEST(Sha256DispatchTest, Digest32MatchesKnownVectors) {
+  std::vector<uint8_t> zeros(32, 0);
+  std::vector<uint8_t> counting(32);
+  for (size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<uint8_t>(i);
+  }
+  const struct {
+    const std::vector<uint8_t>& message;
+    const char* digest;
+  } vectors[] = {
+      {zeros,
+       "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"},
+      {counting,
+       "630dcd2966c4336691125448bbb25b4ff412a49c732db2c8abc1b8581bd710dd"},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(Sha256Digest(v.message.data(), 32).ToHex(), v.digest);
+    EXPECT_EQ(DigestWith(&CompressScalar, v.message.data(), 32).ToHex(),
+              v.digest);
+#if defined(__x86_64__)
+    if (CpuHasShaNi()) {
+      EXPECT_EQ(sha256_internal::Digest32ShaNi(v.message.data()).ToHex(),
+                v.digest);
+    }
+#endif
+  }
+}
+
+/// 100k random 32-byte inputs: the dispatched `Sha256Digest` equals the
+/// scalar one-shot digest.
+TEST(Sha256DispatchTest, Digest32DispatchedMatchesScalarOracle) {
+  Rng rng(0x32b17e5);
+  for (int trial = 0; trial < 100000; ++trial) {
+    const std::vector<uint8_t> msg = RandomBytes(&rng, 32);
+    ASSERT_EQ(Sha256Digest(msg.data(), 32),
+              DigestWith(&CompressScalar, msg.data(), 32))
+        << "trial=" << trial;
+  }
+}
+
+/// The same 100k inputs straight through the SHA-NI kernel, so the
+/// comparison holds even if the dispatch stopped selecting it.
+TEST(Sha256DispatchTest, Digest32ShaNiMatchesScalarOracle) {
+  if (ShaNiIfSupported() == nullptr) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+#if defined(__x86_64__)
+  Rng rng(0x32b17e5);
+  for (int trial = 0; trial < 100000; ++trial) {
+    const std::vector<uint8_t> msg = RandomBytes(&rng, 32);
+    ASSERT_EQ(sha256_internal::Digest32ShaNi(msg.data()),
+              DigestWith(&CompressScalar, msg.data(), 32))
+        << "trial=" << trial;
+  }
+#endif
+}
+
+/// Prints the selected compression and the 32-byte path (ci/check.sh
+/// reads both lines) and checks that each selection follows the CPU.
 TEST(Sha256DispatchTest, ReportsSelectedCompression) {
   const std::string name = sha256_internal::SelectedCompressName();
+  const std::string name32 = sha256_internal::SelectedDigest32Name();
   std::cout << "sha256 compression: " << name << std::endl;
+  std::cout << "sha256 32-byte digest: " << name32 << std::endl;
   const CompressFn sha_ni = ShaNiIfSupported();
   EXPECT_EQ(name, sha_ni != nullptr ? "sha-ni" : "scalar");
+  EXPECT_EQ(name32, name);
   EXPECT_EQ(sha256_internal::SelectedCompress(),
             sha_ni != nullptr ? sha_ni : &CompressScalar);
 }
