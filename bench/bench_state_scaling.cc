@@ -9,13 +9,13 @@
 //                      written spines (O(dirty · depth)).
 //   snapshot_revert  — take a revert point, write, roll back. old: copy
 //                      every account out and back (what a map-backed
-//                      state pays); new: Snapshot() keeps the root
-//                      handle and RevertTo() restores it (O(1); the
-//                      writes copy O(depth) nodes each).
+//                      state pays); new: keep a StateDB copy (a root
+//                      handle) and assign it back (O(1); the writes
+//                      copy O(depth) nodes each).
 //   block_build      — pack a 10-tx block on a funded state. old:
 //                      per-candidate copy of every account + from-scratch
-//                      root; new: Ledger::BuildBlock (O(1) state copy,
-//                      snapshot trials, incremental root).
+//                      root; new: Ledger::BuildBlock (O(1) state copies
+//                      as revert points, incremental root).
 //
 // Above kOldStyleMaxAccounts the old column is not run (minutes per
 // op) and is emitted as null. One more row, ledger_257, appends 257
@@ -288,9 +288,10 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
 
   // Identity gate: both revert styles must land back on the base root.
   {
-    const size_t snap = db.Snapshot();
+    StateDB saved = db;
     touch(&db);
-    if (!db.RevertTo(snap).ok() || db.StateRoot() != base_root) {
+    db = std::move(saved);
+    if (db.StateRoot() != base_root) {
       IdentityFailure("snapshot_revert(root handle)", accounts);
     }
     if (OldStyleRuns(accounts)) {
@@ -304,10 +305,10 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
   }
 
   const double new_ops = MeasureOpsPerSec([&] {
-    const size_t snap = db.Snapshot();
+    StateDB saved = db;
     touch(&db);
-    if (!db.RevertTo(snap).ok()) IdentityFailure("revert", accounts);
-    return static_cast<uint64_t>(snap);
+    db = std::move(saved);
+    return static_cast<uint64_t>(db.AccountCount());
   });
   std::optional<double> old_ops;
   if (OldStyleRuns(accounts)) {
@@ -460,7 +461,8 @@ int main() {
   bench::Banner(
       "BENCH state scaling (DESIGN.md §10)",
       "persistent authenticated state: root update O(dirty*depth) not "
-      "O(n); snapshots and copies are root handles; roots byte-identical");
+      "O(n); a copy is a root handle and the revert point; roots "
+      "byte-identical");
 
   const size_t largest = kAccountCounts[std::size(kAccountCounts) - 1];
   const LedgerGrowth growth = BenchLedgerGrowth(largest);

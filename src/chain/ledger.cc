@@ -85,16 +85,17 @@ Result<std::vector<Transaction>> Ledger::PackTransactions(
   ChainConfig no_reward = config;
   no_reward.block_reward = 0;
   std::vector<Transaction> included;
-  // Candidates run in place, in segments under one snapshot each. A
-  // candidate that fails ends its segment: the state reverts to the
-  // segment's start and the segment's included candidates run again.
-  // So a block takes one snapshot per failing candidate, not one per
-  // candidate, and re-runs each included candidate at most once.
+  // Candidates run in place, in segments that each keep a copy of the
+  // state they start from (a root handle, O(1)). A candidate that fails
+  // ends its segment: the state goes back to that copy and the
+  // segment's included candidates run again. So a block takes one copy
+  // per failing candidate, not one per candidate, and re-runs each
+  // included candidate at most once.
   auto next = candidates.begin();
   while (next != candidates.end() &&
          included.size() < config.max_txs_per_block) {
     const size_t first = included.size();
-    const size_t segment = state->Snapshot();
+    StateDB segment_start = *state;
     bool failed = false;
     for (; next != candidates.end() &&
            included.size() < config.max_txs_per_block;
@@ -106,11 +107,8 @@ Result<std::vector<Transaction>> Ledger::PackTransactions(
       }
       included.push_back(std::move(*next));
     }
-    if (!failed) {
-      SHARDCHAIN_RETURN_IF_ERROR(state->Commit(segment));
-      break;
-    }
-    SHARDCHAIN_RETURN_IF_ERROR(state->RevertTo(segment));
+    if (!failed) break;
+    *state = std::move(segment_start);
     if (first < included.size()) {
       const std::vector<Transaction> rerun(
           included.begin() + static_cast<ptrdiff_t>(first), included.end());

@@ -80,10 +80,10 @@ class Ledger {
   /// `txs` with PackTransactions and filling in the roots.
   /// Transactions that fail execution are skipped, mirroring a miner
   /// dropping invalid txs while packing. Does not append. Fails only on
-  /// internal invariant violations (snapshot bracket errors) — never on
-  /// individual invalid candidates. The executed post-state is retained
-  /// so Append of the freshly built block skips re-execution and the
-  /// second StateRoot() derivation.
+  /// internal invariant violations (an included candidate that fails
+  /// its re-run) — never on individual invalid candidates. The executed
+  /// post-state is retained so Append of the freshly built block skips
+  /// re-execution and the second StateRoot() derivation.
   [[nodiscard]] Result<Block> BuildBlock(const Address& miner,
                                          std::vector<Transaction> txs,
                                          uint64_t timestamp) const;
@@ -133,13 +133,13 @@ class Ledger {
   /// The block-packing rule, shared by BuildBlock and BlockPipeline:
   /// walks `candidates` in order, keeps each one that executes on
   /// `state`, stops at config.max_txs_per_block, then credits the block
-  /// reward. Candidates run in place on `state` inside a snapshot (a
-  /// kept root handle) that a failing candidate rolls back, after which
-  /// the candidates included since the snapshot run again: a block pays
-  /// one snapshot per failing candidate, never a copy of the state.
-  /// Returns the included transactions in candidate order; fails only
-  /// when a snapshot bracket or the re-run of an included candidate
-  /// does.
+  /// reward. Candidates run in place on `state`; a failing candidate
+  /// restores the copy of `state` kept when its segment began (a root
+  /// handle, O(1)), after which the candidates included since then run
+  /// again: a block pays one such copy per failing candidate, never a
+  /// deep copy of the state. Returns the included transactions in
+  /// candidate order; fails only when the re-run of an included
+  /// candidate does.
   [[nodiscard]] static Result<std::vector<Transaction>> PackTransactions(
       std::vector<Transaction> candidates, const Address& miner,
       const ChainConfig& config, StateDB* state);

@@ -118,24 +118,15 @@ Result<std::vector<int64_t>> Vm::DecodeArgs(const Bytes& payload) {
 Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
                                 const CallContext& ctx, StateDB* state) {
   assert(state != nullptr);
-  // Revert point: a kept root handle, O(1) to take and to roll back —
-  // no full-state copy either way.
-  const size_t snapshot = state->Snapshot();
+  // Revert point: a copy of the state, which is a root handle — O(1)
+  // to take and to assign back, no full-state copy either way. It goes
+  // out of scope when the call returns, so it pins no old nodes across
+  // calls.
+  const StateDB before = *state;
   // Abort helper: rolls the state back and surfaces the error.
   auto fail = [&](Status st) -> Result<ExecReceipt> {
-    Status revert = state->RevertTo(snapshot);
-    assert(revert.ok());
-    (void)revert;
+    *state = before;
     return st;
-  };
-  // Success helper: keeps the effects and retires the revert point so
-  // its kept root does not pin old nodes across calls.
-  auto succeed = [&](uint64_t gas_used,
-                     std::vector<int64_t> final_stack) -> Result<ExecReceipt> {
-    Status committed = state->Commit(snapshot);
-    assert(committed.ok());
-    (void)committed;
-    return ExecReceipt{gas_used, std::move(final_stack)};
   };
 
   // The call value moves into the contract before the code runs.
@@ -183,7 +174,7 @@ Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
 
     switch (op) {
       case Op::kStop:
-        return succeed(gas, std::move(stack));
+        return ExecReceipt{gas, std::move(stack)};
       case Op::kPush: {
         if (pc + 9 > code.size()) {
           return fail(Status::Corruption("truncated PUSH immediate"));
@@ -455,7 +446,7 @@ Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
     ++pc;
   }
   // Falling off the end of the code is an implicit STOP.
-  return succeed(gas, std::move(stack));
+  return ExecReceipt{gas, std::move(stack)};
 }
 
 }  // namespace shardchain

@@ -84,32 +84,6 @@ bool StateDB::EraseAccount(const Address& addr) {
   return trie_.Delete(addr.bytes);
 }
 
-size_t StateDB::Snapshot() {
-  snapshots_.push_back(trie_);
-  return snapshots_.size() - 1;
-}
-
-Status StateDB::RevertTo(size_t snapshot_id) {
-  if (snapshot_id >= snapshots_.size()) {
-    return Status::OutOfRange("unknown snapshot id");
-  }
-  trie_ = std::move(snapshots_[snapshot_id]);
-  snapshots_.resize(snapshot_id);
-  return Status::OK();
-}
-
-Status StateDB::Commit(size_t snapshot_id) {
-  if (snapshot_id >= snapshots_.size()) {
-    return Status::OutOfRange("unknown snapshot id");
-  }
-  if (snapshot_id + 1 != snapshots_.size()) {
-    return Status::InvalidArgument(
-        "commit must target the innermost live snapshot");
-  }
-  snapshots_.pop_back();
-  return Status::OK();
-}
-
 void StateDB::ApplyAccount(const Address& addr, const Account& account) {
   GetOrCreate(addr) = account;
 }

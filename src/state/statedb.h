@@ -15,19 +15,21 @@
 namespace shardchain {
 
 /// \brief The world state: accounts in a persistent Merkle Patricia
-/// trie, with snapshot/revert support and an authenticated state root.
+/// trie, with an authenticated state root.
 ///
 /// In the sharded system each shard's miners hold a StateDB restricted
 /// to their shard's accounts; MaxShard miners hold the full state
 /// (Sec. III-A). The trie is the only store (DESIGN.md §10): its leaves
 /// hold the accounts, so a copy is a root handle — O(1), hashing
 /// nothing, sharing every node and account with the source until one
-/// side writes. Writes copy the O(depth) spine to the touched account
-/// (or write in place where this StateDB alone owns it), so StateRoot()
-/// re-hashes only what changed since the previous call, and the root is
-/// byte-identical to a from-scratch rebuild over the same contents,
-/// whatever the mutation/snapshot history (pinned by the differential
-/// tests and the tests/vectors/state*.hex golden vectors).
+/// side writes. A copy is also the revert point: keep one, write, and
+/// assign it back to drop every write made since. Writes copy the
+/// O(depth) spine to the touched account (or write in place where this
+/// StateDB alone owns it), so StateRoot() re-hashes only what changed
+/// since the previous call, and the root is byte-identical to a
+/// from-scratch rebuild over the same contents, whatever the
+/// mutation/copy/revert history (pinned by the differential tests and
+/// the tests/vectors/state*.hex golden vectors).
 class StateDB {
  public:
   /// Read access. Missing accounts read as empty (balance 0, nonce 0).
@@ -37,9 +39,9 @@ class StateDB {
   bool IsContract(const Address& addr) const;
 
   /// Mutable access, creating the account if absent. The sole mutation
-  /// choke point: copy-on-write on the path to the account, so no
-  /// snapshot or copy sees the write. The reference is valid until the
-  /// next call that writes, snapshots, or copies this StateDB.
+  /// choke point: copy-on-write on the path to the account, so no copy
+  /// sees the write. The reference is valid until the next call that
+  /// writes or copies this StateDB.
   Account& GetOrCreate(const Address& addr);
 
   /// Credits `amount` to `addr` (minting; used for genesis funding and
@@ -61,24 +63,6 @@ class StateDB {
   /// Removes `addr` entirely (cross-shard migration: the account's
   /// authoritative home moved away). Returns false when absent.
   bool EraseAccount(const Address& addr);
-
-  /// Marks a revert point; RevertTo restores it. O(1) and hashes
-  /// nothing: it keeps the current root handle, and later writes copy
-  /// the spines they touch instead of writing shared nodes. Snapshot ids
-  /// are monotonically increasing and invalidated by RevertTo to an
-  /// earlier snapshot.
-  size_t Snapshot();
-
-  /// Restores the root handle `snapshot_id` kept, dropping every write
-  /// made since, and invalidates it along with all later snapshots.
-  Status RevertTo(size_t snapshot_id);
-
-  /// Discards the innermost snapshot's handle, keeping its writes.
-  /// Fails unless `snapshot_id` is the most recent live snapshot.
-  Status Commit(size_t snapshot_id);
-
-  /// Outstanding (live) snapshot count — 0 when no revert point exists.
-  size_t SnapshotDepth() const { return snapshots_.size(); }
 
   /// Overwrites `addr` with `account` wholesale (creating it if absent).
   void ApplyAccount(const Address& addr, const Account& account);
@@ -107,8 +91,6 @@ class StateDB {
 
  private:
   MerklePatriciaTrie trie_;
-  /// Root handles kept by Snapshot(), oldest first.
-  std::vector<MerklePatriciaTrie> snapshots_;
 };
 
 }  // namespace shardchain

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "chain/ledger.h"
+#include "chain/pipeline.h"
 #include "consensus/pow.h"
+#include "contract/assembler.h"
 #include "contract/registry.h"
 #include "txpool/txpool.h"
 #include "types/codec.h"
@@ -34,8 +36,8 @@ StateDB FundedState() {
   return state;
 }
 
-/// BuildBlock returns Result<Block> (snapshot bracket failures
-/// propagate); the happy-path tests unwrap it.
+/// BuildBlock returns Result<Block> (a failing re-run of an included
+/// candidate propagates); the happy-path tests unwrap it.
 Block MustBuild(const Ledger& ledger, const Address& miner,
                 std::vector<Transaction> txs, uint64_t timestamp) {
   Result<Block> built = ledger.BuildBlock(miner, std::move(txs), timestamp);
@@ -352,10 +354,10 @@ TEST(LedgerTest, ImportAccountInvalidatesBuildCache) {
 }
 
 TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
-  // A candidate that fails after making writes (fee charged, value
-  // moved, then the VM rejects the call to a codeless address) forces
-  // the RevertTo path inside BuildBlock; the block must come out
-  // byte-identical to one built without the failing candidate.
+  // A candidate that fails after making a write (fee charged, then the
+  // call to a codeless address fails to load before the VM runs)
+  // forces the segment restore inside BuildBlock; the block must come
+  // out byte-identical to one built without the failing candidate.
   StateDB genesis = FundedState();
   genesis.Mint(Addr(3), 500);
   const Address miner = Addr(9);
@@ -379,6 +381,76 @@ TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
   ASSERT_TRUE(ledger.Append(with_failure).ok());
   // The failed candidate left no residue: Addr(3) kept its balance.
   EXPECT_EQ(ledger.tip_state().BalanceOf(Addr(3)), 500u);
+}
+
+TEST(LedgerTest, VmRevertInsidePackingSegmentLeavesNoResidue) {
+  // A contract call that takes a call value, writes storage and then
+  // REVERTs, between two valid transfers: the VM restores its own
+  // revert copy, the packing segment restores its copy, and both
+  // BuildBlock and BlockPipeline must pack the block built without the
+  // call, with nothing of the call left on the tip.
+  StateDB genesis = FundedState();
+  genesis.Mint(Addr(3), 500);
+  ContractProgram program;
+  program.code = *Assemble(
+      "CALLVALUE\n"
+      "PUSH 0\n"
+      "SSTORE\n"  // slot 0 = call value
+      "REVERT\n");
+  const Result<Address> deployed =
+      ContractRegistry::Deploy(&genesis, Addr(5), program);
+  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+  const Address contract = *deployed;
+  const Address miner = Addr(9);
+
+  Transaction reverting_call = Pay(Addr(3), contract, 40, 4);
+  reverting_call.kind = TxKind::kContractCall;
+  {
+    // The call reaches the VM and reverts there (not on loading), and
+    // the VM's own revert leaves the state as it found it.
+    StateDB scratch = genesis;
+    const Result<ExecReceipt> receipt =
+        ContractRegistry::Call(&scratch, reverting_call);
+    ASSERT_TRUE(receipt.status().IsFailedPrecondition())
+        << receipt.status().ToString();
+    EXPECT_EQ(receipt.status().message(), "contract reverted");
+    EXPECT_EQ(scratch.StateRoot(), genesis.StateRoot());
+  }
+
+  const Transaction first = Pay(Addr(1), Addr(2), 100, 10);
+  const Transaction last = Pay(Addr(2), Addr(1), 30, 3);
+  Ledger shadow(1, genesis);
+  const Block reference = MustBuild(shadow, miner, {first, last}, 1);
+
+  Ledger ledger(1, genesis);
+  const Block built =
+      MustBuild(ledger, miner, {first, reverting_call, last}, 1);
+  ASSERT_EQ(built.transactions.size(), 2u);
+  EXPECT_EQ(codec::EncodeBlock(built), codec::EncodeBlock(reference));
+  ASSERT_TRUE(ledger.Append(built).ok());
+
+  // The pool's fee order is the candidate order above.
+  Ledger piped(1, genesis);
+  TxPool pool;
+  for (const Transaction& tx : {first, reverting_call, last}) {
+    ASSERT_TRUE(pool.Add(tx).ok());
+  }
+  BlockPipeline pipeline(&piped, &pool);
+  const Result<PipelineResult> produced = pipeline.Run(miner, 1);
+  ASSERT_TRUE(produced.ok()) << produced.status().ToString();
+  ASSERT_EQ(produced->hashes.size(), 1u);
+  const Block* piped_block = piped.Find(produced->hashes[0]);
+  ASSERT_NE(piped_block, nullptr);
+  EXPECT_EQ(codec::EncodeBlock(*piped_block), codec::EncodeBlock(reference));
+  EXPECT_TRUE(pool.Contains(reverting_call.Id()));
+
+  for (const Ledger* tip : {&ledger, &piped}) {
+    const StateDB& state = tip->tip_state();
+    EXPECT_EQ(state.StorageGet(contract, 0), 0);
+    EXPECT_EQ(state.BalanceOf(contract), 0u);
+    EXPECT_EQ(state.BalanceOf(Addr(3)), 500u);
+    EXPECT_EQ(state.NonceOf(Addr(3)), 0u);
+  }
 }
 
 // ------------------------ structural sharing ----------------------------

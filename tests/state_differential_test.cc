@@ -2,7 +2,7 @@
 // state layer (DESIGN.md §10).
 //
 // The copy-on-write MerklePatriciaTrie and the StateDB built on it are
-// driven through long seeded Put/Delete/Snapshot/Revert/Commit
+// driven through long seeded Put/Delete and copy/restore/drop
 // sequences against deliberately naive reference models:
 //
 //   - trie  vs  std::map<Bytes, Bytes> + a rebuild-from-scratch trie
@@ -15,8 +15,9 @@
 //
 // Any divergence between the O(dirty·depth) incremental path and the
 // O(n) rebuild — a stale cached hash, a write leaking into a kept
-// snapshot, a COW node aliased across versions — fails here. The suites run under the
-// ASan/UBSan and (via the shardchain_tests binary) release CI legs.
+// copy, a COW node aliased across versions — fails here. The suites
+// run under the ASan/UBSan and (via the shardchain_tests binary)
+// release CI legs.
 
 #include <map>
 #include <optional>
@@ -174,7 +175,8 @@ Address AddrFor(uint64_t n) {
 }
 
 /// The naive reference: plain account data, snapshots as full copies —
-/// exactly the semantics root-handle snapshots must reproduce.
+/// exactly the semantics kept StateDB copies (root handles) must
+/// reproduce.
 struct RefAccount {
   Amount balance = 0;
   uint64_t nonce = 0;
@@ -247,7 +249,8 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
     Rng rng(seed);
     StateDB db;
     RefState ref;
-    std::vector<size_t> live_snaps;
+    // Kept copies of db, oldest first: copy i mirrors ref's snapshot i.
+    std::vector<StateDB> copies;
     for (int step = 0; step < 900; ++step) {
       const Address addr = AddrFor(rng.Next() % 64);
       switch (rng.UniformInt(10)) {
@@ -284,28 +287,23 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
           ref.Get(addr).storage[key] = value;
           break;
         }
-        case 7: {  // Snapshot.
-          const size_t id = db.Snapshot();
-          ASSERT_EQ(id, ref.Snapshot());
-          live_snaps.push_back(id);
+        case 7: {  // Copy.
+          copies.push_back(db);
+          ASSERT_EQ(copies.size() - 1, ref.Snapshot());
           break;
         }
-        case 8: {  // Revert to a random live snapshot.
-          if (live_snaps.empty()) break;
-          const size_t pick = rng.UniformInt(live_snaps.size());
-          const size_t id = live_snaps[pick];
-          ASSERT_TRUE(db.RevertTo(id).ok());
-          ref.RevertTo(id);
-          live_snaps.resize(pick);
-          // Ids at or above the reverted one are dead now.
-          ASSERT_TRUE(db.RevertTo(id).IsOutOfRange());
+        case 8: {  // Restore a random kept copy, dropping the later ones.
+          if (copies.empty()) break;
+          const size_t pick = rng.UniformInt(copies.size());
+          db = std::move(copies[pick]);
+          copies.resize(pick);
+          ref.RevertTo(pick);
           break;
         }
-        default: {  // Commit the innermost snapshot.
-          if (live_snaps.empty()) break;
-          ASSERT_TRUE(db.Commit(live_snaps.back()).ok());
+        default: {  // Drop the newest copy, keeping db's writes.
+          if (copies.empty()) break;
+          copies.pop_back();
           ref.Commit();
-          live_snaps.pop_back();
           break;
         }
       }
@@ -334,20 +332,6 @@ TEST(StateDifferential, CopiedStateDBForksIndependently) {
   ref.Get(AddrFor(3)).balance += 5;
   ref.Get(AddrFor(7)).nonce = 9;
   EXPECT_EQ(fork.StateRoot(), RebuildRoot(ref));
-}
-
-TEST(StateDifferential, CommitRequiresInnermostSnapshot) {
-  StateDB db;
-  db.Mint(AddrFor(1), 100);
-  const size_t outer = db.Snapshot();
-  const size_t inner = db.Snapshot();
-  EXPECT_TRUE(db.Commit(outer).IsInvalidArgument());
-  EXPECT_TRUE(db.Commit(inner + 7).IsOutOfRange());
-  EXPECT_TRUE(db.Commit(inner).ok());
-  db.Mint(AddrFor(1), 1);
-  EXPECT_TRUE(db.RevertTo(outer).ok());
-  EXPECT_EQ(db.BalanceOf(AddrFor(1)), 100u);
-  EXPECT_EQ(db.SnapshotDepth(), 0u);
 }
 
 }  // namespace

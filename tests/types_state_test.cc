@@ -196,43 +196,43 @@ TEST(StateDBTest, StorageDefaultsToZero) {
   EXPECT_EQ(db.StorageGet(Addr(1), 5), -17);
 }
 
+// A copy is the revert point: assigning it back drops every write made
+// since it was taken.
 TEST(StateDBTest, SnapshotRevertRestoresEverything) {
   StateDB db;
   db.Mint(Addr(1), 100);
   db.StorageSet(Addr(2), 1, 11);
   const Hash256 root_before = db.StateRoot();
-  const size_t snap = db.Snapshot();
+  StateDB saved = db;
 
   ASSERT_TRUE(db.Transfer(Addr(1), Addr(3), 50).ok());
   db.StorageSet(Addr(2), 1, 99);
   ASSERT_TRUE(db.DeployContract(Addr(4), {0x01}).ok());
   EXPECT_NE(db.StateRoot(), root_before);
+  EXPECT_EQ(saved.StateRoot(), root_before);
 
-  ASSERT_TRUE(db.RevertTo(snap).ok());
+  db = std::move(saved);
   EXPECT_EQ(db.StateRoot(), root_before);
   EXPECT_EQ(db.BalanceOf(Addr(1)), 100u);
   EXPECT_EQ(db.StorageGet(Addr(2), 1), 11);
   EXPECT_FALSE(db.IsContract(Addr(4)));
 }
 
-TEST(StateDBTest, RevertToUnknownSnapshotFails) {
-  StateDB db;
-  EXPECT_TRUE(db.RevertTo(3).IsOutOfRange());
-}
-
 TEST(StateDBTest, NestedSnapshots) {
   StateDB db;
   db.Mint(Addr(1), 10);
-  const size_t s1 = db.Snapshot();
+  const StateDB s1 = db;
   db.Mint(Addr(1), 10);
-  const size_t s2 = db.Snapshot();
+  const StateDB s2 = db;
   db.Mint(Addr(1), 10);
-  ASSERT_TRUE(db.RevertTo(s2).ok());
+  db = s2;
   EXPECT_EQ(db.BalanceOf(Addr(1)), 20u);
-  ASSERT_TRUE(db.RevertTo(s1).ok());
+  db = s1;
   EXPECT_EQ(db.BalanceOf(Addr(1)), 10u);
-  // s2 was invalidated by the revert to s1.
-  EXPECT_TRUE(db.RevertTo(s2).IsOutOfRange());
+  // Copies are values: restoring the older one leaves the newer intact.
+  db = s2;
+  EXPECT_EQ(db.BalanceOf(Addr(1)), 20u);
+  EXPECT_EQ(s1.BalanceOf(Addr(1)), 10u);
 }
 
 TEST(StateDBTest, StateRootIsOrderIndependentOfInsertion) {

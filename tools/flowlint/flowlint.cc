@@ -4,7 +4,7 @@
 // detlint and parlint are lexical, per-file scanners: they cannot see a
 // helper that reads the wall clock called three frames below
 // Ledger::BuildBlock, or a function invoked from inside a ParallelFor
-// body that takes a StateDB snapshot. flowlint closes that gap: it
+// body that mutates a local static. flowlint closes that gap: it
 // builds a token-level function index and call graph over everything it
 // is given (liblint's ExtractFunctions/ExtractCallSites), seeds taints
 // at nondeterminism sources and contract-relevant effects, propagates
@@ -20,8 +20,6 @@
 //   nondet:hw-threads       hardware_concurrency()
 //   nondet:ptr-order        std::map/set keyed on a pointer
 //   effect:parallel         ParallelFor/ParallelReduce/ParallelChunks
-//   effect:snapshot         member Snapshot()/RevertTo() (and Commit()
-//                           when the same body opens a bracket)
 //   effect:static-mutation  non-const local static state
 //
 // In-source annotations (comments, scanned from the raw text):
@@ -94,10 +92,9 @@ constexpr RuleInfo kRules[] = {
      "bytes from the same broadcast (DESIGN.md §7)"},
     {"parallel-body-effects",
      "a function called (transitively) from inside a "
-     "ParallelFor/ParallelReduce/ParallelChunks body performs snapshot-"
-     "journal ops, nested parallelism, or static mutation; the §9 "
-     "contract requires parallel bodies to stay effect-free beyond "
-     "their disjoint writes"},
+     "ParallelFor/ParallelReduce/ParallelChunks body performs nested "
+     "parallelism or static mutation; the §9 contract requires parallel "
+     "bodies to stay effect-free beyond their disjoint writes"},
     {"unannotated-root",
      "a consensus entry point (Ledger::BuildBlock, the codec "
      "encode/decode pairs, the games) defined without its "
@@ -295,47 +292,8 @@ class Analysis {
       }
     }
 
-    SeedSnapshotOps(fn, code, begin, end);
     SeedStaticMutation(fn, code, begin, end);
     SeedPointerKeys(fn, code, begin, end);
-  }
-
-  // Member Snapshot()/RevertTo() always seed effect:snapshot; Commit()
-  // only when the body also opens a bracket (Snapshot or RevertTo), so
-  // unrelated Commit methods (a beacon round, a batch writer) do not
-  // read as journal ops.
-  void SeedSnapshotOps(Fn* fn, const std::string& code, size_t begin,
-                       size_t end) {
-    bool has_bracket = false;
-    std::vector<Seed> commits;
-    for (const char* name : {"Snapshot", "RevertTo", "Commit"}) {
-      const std::string token = name;
-      size_t pos = begin;
-      while ((pos = code.find(token, pos)) != std::string::npos &&
-             pos < end) {
-        const bool dot = pos > 0 && code[pos - 1] == '.';
-        const bool arrow =
-            pos > 1 && code[pos - 2] == '-' && code[pos - 1] == '>';
-        const size_t after = SkipWs(code, pos + token.size());
-        if (!TokenAt(code, pos, token) || !(dot || arrow) ||
-            after >= code.size() || code[after] != '(') {
-          pos += token.size();
-          continue;
-        }
-        if (token == "Commit") {
-          commits.push_back({"effect:snapshot", token, pos});
-        } else {
-          has_bracket = true;
-          AddSeed(fn, "effect:snapshot", token, pos);
-        }
-        pos += token.size();
-      }
-    }
-    if (has_bracket) {
-      for (const Seed& s : commits) {
-        AddSeed(fn, "effect:snapshot", s.token, s.offset);
-      }
-    }
   }
 
   // A non-const local `static` is mutable cross-call state: results
@@ -545,7 +503,7 @@ void Analysis::EmitRootFindings(std::vector<Finding>* out) const {
 }
 
 // Rule 2: parallel-body-effects. Scans each function's parallel-call
-// argument extents: a direct snapshot/static seed inside the extent,
+// argument extents: a direct static-mutation seed inside the extent,
 // or a resolved callee carrying any effect:* taint, is an effect
 // smuggled into a parallel region. (Lexically nested Parallel* calls
 // are parlint's nested-parallel; here the nested case is caught when
@@ -581,10 +539,7 @@ void Analysis::EmitParallelBodyFindings(std::vector<Finding>* out) const {
           continue;
         }
         for (const Seed& s : fn.seeds) {
-          if (s.taint != "effect:snapshot" &&
-              s.taint != "effect:static-mutation") {
-            continue;
-          }
+          if (s.taint != "effect:static-mutation") continue;
           if (s.offset > open && s.offset < close &&
               emitted.insert(s.offset).second) {
             EmitFinding(src, s.offset, "parallel-body-effects",
@@ -761,8 +716,8 @@ int main(int argc, char** argv) {
   liblint::Tool tool;
   tool.name = "flowlint";
   tool.tagline =
-      "interprocedural taint analysis of the §7 determinism and §9/§10 "
-      "parallel and snapshot contracts";
+      "interprocedural taint analysis of the §7 determinism and §9 "
+      "parallel contracts";
   tool.rules = kRules;
   tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
   bool summaries_write_failed = false;

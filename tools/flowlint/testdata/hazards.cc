@@ -14,12 +14,6 @@ struct ThreadPool;
 template <typename B>
 void ParallelFor(ThreadPool*, size_t, size_t, const B&);
 
-struct Journal {
-  size_t Snapshot();
-  bool Commit(size_t id);
-  bool RevertTo(size_t id);
-};
-
 // Rule: consensus-reaches-nondet — StampMicros reads the wall clock,
 // PackCandidates calls it, and the annotated root sits two calls
 // above: the 3-hop chain BuildDigest → PackCandidates → StampMicros →
@@ -37,25 +31,18 @@ inline uint64_t BuildDigest(uint64_t h) {
   return PackCandidates(h) * 0x9e3779b97f4a7c15ull;
 }
 
-// Rule: parallel-body-effects — TryApply brackets the journal; calling
-// it from a ParallelFor lambda smuggles snapshot ops into a parallel
-// region.
-inline bool TryApply(Journal* j) {
-  const size_t snap = j->Snapshot();
-  if (!j->Commit(snap)) {
-    j->RevertTo(snap);
-    return false;
-  }
-  return true;
+// Rule: parallel-body-effects — NextTicket bumps a function-local
+// static; calling it from a ParallelFor lambda makes every lane's
+// ticket depend on the schedule.
+inline uint64_t NextTicket() {
+  static uint64_t issued = 0;
+  return ++issued;
 }
 
-inline size_t ApplyAll(ThreadPool* pool, Journal* j, size_t n) {
-  size_t applied = 0;
-  ParallelFor(pool, n, 64, [j, &applied](size_t i) {
-    (void)i;
-    if (TryApply(j)) ++applied;
+inline void StampAll(ThreadPool* pool, uint64_t* tickets, size_t n) {
+  ParallelFor(pool, n, 64, [tickets](size_t i) {
+    tickets[i] = NextTicket();
   });
-  return applied;
 }
 
 // Rule: unannotated-root — a required consensus entry point defined

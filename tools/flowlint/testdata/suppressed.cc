@@ -15,12 +15,6 @@ struct ThreadPool;
 template <typename B>
 void ParallelFor(ThreadPool*, size_t, size_t, const B&);
 
-struct Journal {
-  size_t Snapshot();
-  bool Commit(size_t id);
-  bool RevertTo(size_t id);
-};
-
 inline int64_t StampMicros() {
   return std::chrono::system_clock::now().time_since_epoch().count();
 }
@@ -35,23 +29,16 @@ inline uint64_t BuildDigest(uint64_t h) {
   return PackCandidates(h) * 0x9e3779b97f4a7c15ull;
 }
 
-inline bool TryApply(Journal* j) {
-  const size_t snap = j->Snapshot();
-  if (!j->Commit(snap)) {
-    j->RevertTo(snap);
-    return false;
-  }
-  return true;
+inline uint64_t NextTicket() {
+  static uint64_t issued = 0;
+  return ++issued;
 }
 
-inline size_t ApplyAll(ThreadPool* pool, Journal* j, size_t n) {
-  size_t applied = 0;
-  ParallelFor(pool, n, 64, [j, &applied](size_t i) {
-    (void)i;
-    // flowlint:allow(parallel-body-effects): fixture — journal is lock-free
-    if (TryApply(j)) ++applied;
+inline void StampAll(ThreadPool* pool, uint64_t* tickets, size_t n) {
+  ParallelFor(pool, n, 64, [tickets](size_t i) {
+    // flowlint:allow(parallel-body-effects): fixture — tickets are display-only
+    tickets[i] = NextTicket();
   });
-  return applied;
 }
 
 // flowlint:allow(unannotated-root): fixture exercising the waiver path

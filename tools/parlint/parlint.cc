@@ -1,21 +1,16 @@
-// parlint — static enforcement of the parallel-determinism and
-// state-snapshot contracts.
+// parlint — static enforcement of the parallel-determinism contract.
 //
 // DESIGN.md §9 makes parallel results scheduling-independent through a
 // four-rule contract (fixed chunking, disjoint writes, ordered
-// reduction, per-chunk ChunkSeed RNG streams), and §10 keeps old state
-// versions from being pinned through a snapshot bracket discipline
-// (every Snapshot() id reaches Commit or RevertTo on every path). Both were
-// hand-enforced conventions: a reviewer could merge a `[&]`-capturing
-// ParallelFor body or a leaked snapshot and nothing failed until a
-// seed or a TSan run happened to hit it. parlint turns them into
-// machine-checked invariants.
+// reduction, per-chunk ChunkSeed RNG streams). It was a hand-enforced
+// convention: a reviewer could merge a `[&]`-capturing ParallelFor body
+// and nothing failed until a seed or a TSan run happened to hit it.
+// parlint turns it into machine-checked invariants.
 //
 // Like detlint, this is a heuristic token-level scanner built on the
 // shared liblint driver (tools/liblint/), not a compiler plugin. Rules
-// 2–4 are conservative approximations over lexical call extents and
-// rule 5 is a scope-based approximation (see DESIGN.md §11 for why);
-// intentional deviations carry inline
+// 2–5 are conservative approximations over lexical call extents (see
+// DESIGN.md §11 for why); intentional deviations carry inline
 //
 //     // parlint:allow(<rule>[,<rule>...]): justification
 //
@@ -28,7 +23,6 @@
 // Exit codes: 0 = clean, 1 = usage / IO error, 2 = unsuppressed
 // findings present.
 
-#include <algorithm>
 #include <cctype>
 #include <set>
 #include <string>
@@ -66,11 +60,6 @@ constexpr RuleInfo kRules[] = {
      "+=/push_back on a captured non-local inside a ParallelFor body; "
      "accumulate into per-chunk slots or use ParallelReduce's ordered "
      "fold"},
-    {"unbalanced-snapshot",
-     "Snapshot() whose id does not reach both Commit and RevertTo later "
-     "in the enclosing function (scope-based approximation); a one-sided "
-     "bracket either pins an old state version or loses the rollback path "
-     "(§10)"},
     {"nested-parallel",
      "ParallelFor/ParallelReduce/ParallelChunks lexically inside another "
      "parallel body; legal but it serializes inline, so it must carry an "
@@ -148,14 +137,13 @@ class Scanner {
     ScanRefCaptures();
     ScanParallelRng();
     ScanSharedAccumulation();
-    ScanSnapshots();
     ScanNestedParallel();
   }
 
  private:
   // A ParallelFor/ParallelReduce/ParallelChunks call site and the
   // lexical extent of its argument list. The lambda body an invocation
-  // carries lives inside [open, close], which is what rules 2–4 and 6
+  // carries lives inside [open, close], which is what rules 2–5
   // scan — a conservative approximation of "the parallel body".
   struct Call {
     size_t name_pos = 0;
@@ -422,182 +410,7 @@ class Scanner {
     }
   }
 
-  // ---- Rule 5 helpers: enclosing-function lookup over brace pairs ----
-
-  struct Brace {
-    size_t open;
-    size_t close;
-  };
-
-  void CollectBraces() {
-    if (!braces_.empty()) return;
-    std::vector<size_t> stack;
-    for (size_t i = 0; i < code_.size(); ++i) {
-      if (code_[i] == '{') stack.push_back(i);
-      if (code_[i] == '}' && !stack.empty()) {
-        braces_.push_back({stack.back(), i});
-        stack.pop_back();
-      }
-    }
-  }
-
-  // Matches backward from `close` (indexing ')') to its '('.
-  size_t MatchParenBackward(size_t close) const {
-    int depth = 0;
-    for (size_t i = close + 1; i-- > 0;) {
-      if (code_[i] == ')') ++depth;
-      if (code_[i] == '(' && --depth == 0) return i;
-    }
-    return std::string::npos;
-  }
-
-  // The innermost enclosing block that reads like a function body:
-  // opener preceded by ')' whose matching '(' follows a plain
-  // identifier (not if/for/while/switch/catch, not a lambda's ']').
-  // Control blocks, else/try/do blocks, and lambda bodies are ascended
-  // through; if nothing qualifies, the outermost enclosing block wins.
-  Brace EnclosingFunctionBody(size_t offset) {
-    CollectBraces();
-    std::vector<Brace> enclosing;
-    for (const Brace& b : braces_) {
-      if (b.open < offset && offset < b.close) enclosing.push_back(b);
-    }
-    std::sort(enclosing.begin(), enclosing.end(),
-              [](const Brace& a, const Brace& b) {
-                return a.close - a.open < b.close - b.open;
-              });
-    for (const Brace& b : enclosing) {
-      const size_t prev = PrevNonWs(b.open);
-      if (prev == std::string::npos) continue;
-      char c = code_[prev];
-      size_t at = prev;
-      // Skip trailing specifiers: `) const {`, `) noexcept {`.
-      while (IsIdentChar(c)) {
-        const std::string ident = IdentEndingAt(at + 1);
-        static const std::set<std::string> kSpecifiers = {
-            "const", "noexcept", "override", "final", "mutable"};
-        if (kSpecifiers.count(ident) == 0) break;
-        const size_t before = PrevNonWs(at + 1 - ident.size());
-        if (before == std::string::npos) break;
-        at = before;
-        c = code_[at];
-      }
-      if (c == ')') {
-        const size_t open_paren = MatchParenBackward(at);
-        if (open_paren == std::string::npos) continue;
-        const size_t before = PrevNonWs(open_paren);
-        if (before == std::string::npos) continue;
-        if (code_[before] == ']') continue;  // Lambda body: ascend.
-        if (IsIdentChar(code_[before])) {
-          const std::string head = IdentEndingAt(before + 1);
-          static const std::set<std::string> kControl = {
-              "if", "for", "while", "switch", "catch"};
-          if (kControl.count(head) > 0) continue;  // Control: ascend.
-          return b;
-        }
-        continue;
-      }
-      if (IsIdentChar(c)) {
-        const std::string head = IdentEndingAt(at + 1);
-        if (head == "else" || head == "try" || head == "do") continue;
-        // namespace/class/struct scope: no function body below here.
-        break;
-      }
-    }
-    return enclosing.empty() ? Brace{0, code_.size() - 1} : enclosing.back();
-  }
-
-  // Does `fn`(args-containing-`id`) appear in [begin, end)?
-  bool CallWithArg(const std::string& fn, const std::string& id, size_t begin,
-                   size_t end) const {
-    size_t pos = begin;
-    while ((pos = code_.find(fn, pos)) != std::string::npos && pos < end) {
-      if (!TokenAt(code_, pos, fn)) {
-        pos += fn.size();
-        continue;
-      }
-      const size_t open = SkipWs(pos + fn.size());
-      if (open < end && code_[open] == '(') {
-        const size_t close = MatchParen(code_, open);
-        if (close != std::string::npos) {
-          const std::string args = code_.substr(open + 1, close - open - 1);
-          size_t p = 0;
-          while ((p = args.find(id, p)) != std::string::npos) {
-            if (TokenAt(args, p, id)) return true;
-            p += id.size();
-          }
-        }
-      }
-      pos += fn.size();
-    }
-    return false;
-  }
-
-  // Rule 5: unbalanced-snapshot — `x.Snapshot()` / `x->Snapshot()`
-  // whose assigned id is not later passed to both Commit and RevertTo
-  // within the enclosing function body. A call whose id is discarded
-  // is always flagged.
-  void ScanSnapshots() {
-    size_t pos = 0;
-    const std::string name = "Snapshot";
-    while ((pos = code_.find(name, pos)) != std::string::npos) {
-      if (!TokenAt(code_, pos, name)) {
-        pos += name.size();
-        continue;
-      }
-      // Must be a member call: preceded by '.' or '->'.
-      const bool dot = pos > 0 && code_[pos - 1] == '.';
-      const bool arrow =
-          pos > 1 && code_[pos - 2] == '-' && code_[pos - 1] == '>';
-      size_t after = SkipWs(pos + name.size());
-      const bool empty_call =
-          (dot || arrow) && after < code_.size() && code_[after] == '(' &&
-          SkipWs(after + 1) < code_.size() &&
-          code_[SkipWs(after + 1)] == ')';
-      if (!empty_call) {
-        pos += name.size();
-        continue;
-      }
-      // Statement start, then the id on the left of the last `=`.
-      size_t start = pos;
-      while (start > 0) {
-        const char c = code_[start - 1];
-        if (c == ';' || c == '{' || c == '}') break;
-        --start;
-      }
-      std::string id;
-      size_t eq = std::string::npos;
-      for (size_t i = start; i < pos; ++i) {
-        if (code_[i] == '=' && i + 1 < pos && code_[i + 1] != '=' &&
-            i > 0 && std::string("=!<>+-*/%&|^").find(code_[i - 1]) ==
-                         std::string::npos) {
-          eq = i;
-        }
-      }
-      if (eq != std::string::npos) {
-        size_t e = eq;
-        while (e > start &&
-               std::isspace(static_cast<unsigned char>(code_[e - 1]))) {
-          --e;
-        }
-        id = IdentEndingAt(e);
-      }
-      if (id.empty()) {
-        Emit(pos, "unbalanced-snapshot");  // Snapshot id discarded.
-        pos += name.size();
-        continue;
-      }
-      const Brace body = EnclosingFunctionBody(pos);
-      const bool committed = CallWithArg("Commit", id, pos, body.close);
-      const bool reverted = CallWithArg("RevertTo", id, pos, body.close);
-      if (!committed || !reverted) {
-        Emit(pos, "unbalanced-snapshot");
-      }
-      pos += name.size();
-    }
-  }
-
-  // Rule 6: nested-parallel — a parallel call whose name sits inside
+  // Rule 5: nested-parallel — a parallel call whose name sits inside
   // another parallel call's argument extent.
   void ScanNestedParallel() {
     for (const Call& inner : calls_) {
@@ -614,7 +427,6 @@ class Scanner {
   const std::string& code_;
   std::vector<Finding>* out_;
   std::vector<Call> calls_;
-  std::vector<Brace> braces_;
 };
 
 }  // namespace
@@ -622,8 +434,7 @@ class Scanner {
 int main(int argc, char** argv) {
   liblint::Tool tool;
   tool.name = "parlint";
-  tool.tagline =
-      "the §9 parallel-determinism and §10 snapshot-bracket contracts";
+  tool.tagline = "the §9 parallel-determinism contract";
   tool.rules = kRules;
   tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
   tool.scan = [](const Source& src, std::vector<Finding>* out) {

@@ -1,9 +1,9 @@
 // Fixture for the parlint self-test: the same shapes as hazards.cc
 // written the contract-compliant way — explicit captures, per-chunk
-// ChunkSeed streams, disjoint writes, balanced snapshot brackets, no
-// raw threading. The parlint_clean_fixture CTest case expects a clean
-// exit with ZERO findings (nothing here even needs a waiver). This
-// file is never compiled into any target.
+// ChunkSeed streams, disjoint writes, no raw threading. The
+// parlint_clean_fixture CTest case expects a clean exit with ZERO
+// findings (nothing here even needs a waiver). This file is never
+// compiled into any target.
 
 #include <cstddef>
 #include <cstdint>
@@ -67,26 +67,6 @@ inline void FillNoise(ThreadPool* pool, uint64_t base,
                      (*out)[i] = rng.UniformDouble();
                    }
                  });
-}
-
-struct Journal {
-  size_t Snapshot();
-  bool Commit(size_t id);
-  bool RevertTo(size_t id);
-};
-
-bool TryApply(Journal* state);
-
-// The §10 bracket: the snapshot id reaches Commit on the success path
-// and RevertTo on the failure path.
-inline bool BalancedSnapshot(Journal* state) {
-  const size_t snap = state->Snapshot();
-  if (TryApply(state)) {
-    (void)state->Commit(snap);
-    return true;
-  }
-  (void)state->RevertTo(snap);
-  return false;
 }
 
 }  // namespace fixture

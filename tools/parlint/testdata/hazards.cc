@@ -12,7 +12,6 @@
 namespace fixture {
 
 struct ThreadPool;
-struct StateDB;
 struct Rng {
   explicit Rng(uint64_t seed);
   double UniformDouble();
@@ -81,35 +80,6 @@ inline void NestedFanOut(ThreadPool* pool, std::vector<double>* grid,
       (*grid)[r * cols + c] = 0.0;
     });
   });
-}
-
-size_t SnapshotOf(StateDB* state);
-bool ApplySomething(StateDB* state);
-bool Commit(StateDB* state, size_t id);
-
-struct Journal {
-  size_t Snapshot();
-  bool Commit(size_t id);
-  bool RevertTo(size_t id);
-};
-
-// Rule: unbalanced-snapshot — the id never reaches Commit or RevertTo.
-inline bool LeakySnapshot(Journal* state) {
-  const size_t snap = state->Snapshot();
-  (void)snap;
-  return true;
-}
-
-// Rule: unbalanced-snapshot — committed on the happy path but no
-// RevertTo anywhere: the failure path leaks the bracket.
-inline void CommitOnly(Journal* state) {
-  const size_t snap = state->Snapshot();
-  (void)state->Commit(snap);
-}
-
-// Rule: unbalanced-snapshot — the id is discarded outright.
-inline void DiscardedSnapshot(Journal* state) {
-  state->Snapshot();
 }
 
 }  // namespace fixture

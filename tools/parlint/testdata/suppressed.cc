@@ -68,15 +68,4 @@ inline void NestedFanOut(ThreadPool* pool, std::vector<double>* grid,
   });
 }
 
-struct Journal {
-  size_t Snapshot();
-  bool Commit(size_t id);
-};
-
-inline void CommitOnly(Journal* state) {
-  // parlint:allow(unbalanced-snapshot): infallible path, no rollback
-  const size_t snap = state->Snapshot();
-  (void)state->Commit(snap);
-}
-
 }  // namespace fixture
