@@ -2,15 +2,15 @@
 # Tier-1 gate: the full build/test matrix a change must pass before
 # merging.
 #
-#   1. Release build with -Werror, full ctest (includes the detlint,
-#      parlint, flowlint, and codeclint static scans), then a blocking
-#      lint step that re-runs all four linters with --check-waivers and
-#      writes JSON + SARIF reports into <dir>/lint-reports/, then the
-#      SHA-256 dispatch check (SHA-NI must be selected where the CPU
-#      has it).
+#   1. Release build with -Werror, full ctest, then the SHA-256
+#      dispatch check (SHA-NI must be selected where the CPU has it).
+#      The ctest includes the four blocking lint scans (`shardlint
+#      detlint|parlint|flowlint|codeclint` with --check-waivers; flowlint
+#      and codeclint also diff their checked-in summaries and manifest),
+#      which write JSON + SARIF reports into <dir>/lint-reports/.
 #   2. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer,
-#      full ctest (exercises the determinism harness under sanitizers)
-#      plus the same blocking lint step.
+#      full ctest (exercises the determinism harness under sanitizers,
+#      lint scans and reports included).
 #   3. Debug build with ThreadSanitizer running the parallel-equivalence
 #      and chaos suites — the legs that actually spin up the
 #      deterministic thread pool (DESIGN.md §9).
@@ -23,53 +23,10 @@ cd "$(dirname "$0")/.."
 prefix="${1:-build-ci}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-# Directories detlint covers: everything consensus-critical plus the
-# benches, examples, and the lint tools themselves (self-scan).
-detlint_targets=(src/core src/consensus src/crypto src/types src/contract
-                 src/net src/sim src/parallel src/state src/chain src/txpool
-                 bench examples tools)
-
-# Blocking lint step: all four linters over their scan sets,
-# stale-waiver checking on, machine-readable JSON + SARIF reports under
-# <dir>/lint-reports/ so CI can upload them as artifacts (and feed the
-# SARIF to code-scanning UIs) even on success. Exit code 2 on any
-# unsuppressed finding fails the leg (set -e). flowlint additionally
-# diffs its computed taint summaries against the checked-in
-# tools/flowlint/summaries.json (rule taint-summary-drift), and
-# codeclint its per-record member manifests against
-# tools/codeclint/fields.json (rule field-manifest-drift).
-run_lint_step() {
-  local dir="$1"
-  mkdir -p "$dir/lint-reports"
-  echo "==== lint $dir (detlint) ===="
-  "$dir/tools/detlint" --root . --check-waivers \
-    --report "$dir/lint-reports/detlint.json" \
-    --sarif "$dir/lint-reports/detlint.sarif" \
-    "${detlint_targets[@]}"
-  echo "==== lint $dir (parlint) ===="
-  "$dir/tools/parlint" --root . --check-waivers \
-    --report "$dir/lint-reports/parlint.json" \
-    --sarif "$dir/lint-reports/parlint.sarif" \
-    src
-  echo "==== lint $dir (flowlint) ===="
-  "$dir/tools/flowlint" --root . --check-waivers \
-    --summaries tools/flowlint/summaries.json \
-    --report "$dir/lint-reports/flowlint.json" \
-    --sarif "$dir/lint-reports/flowlint.sarif" \
-    src
-  echo "==== lint $dir (codeclint) ===="
-  "$dir/tools/codeclint" --root . --check-waivers \
-    --manifest tools/codeclint/fields.json \
-    --report "$dir/lint-reports/codeclint.json" \
-    --sarif "$dir/lint-reports/codeclint.sarif" \
-    src
-  echo "artifacts: $dir/lint-reports/{detlint,parlint,flowlint,codeclint}.{json,sarif}"
-}
-
-# Aggregated lint summary: per-tool finding counts, stale-waiver
+# Aggregated lint summary: per-pack finding counts, stale-waiver
 # counts, and taint-summary + field-manifest drift status, read back
-# from the JSON reports of one leg. Pure-python JSON parse — no extra
-# dependencies.
+# from the JSON reports the leg's lint ctests wrote. Pure-python JSON
+# parse — no extra dependencies.
 print_lint_summary() {
   local dir="$1"
   echo "==== lint summary ($dir/lint-reports) ===="
@@ -115,7 +72,9 @@ run_matrix_leg() {
   # reported separately from unit regressions. Seeds are fixed inside
   # the suite; reruns are byte-reproducible.
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L chaos
-  run_lint_step "$dir"
+  # The lint ctests above wrote their reports here.
+  echo "lint artifacts:" \
+    "$dir/lint-reports/{detlint,parlint,flowlint,codeclint}.{json,sarif}"
 }
 
 # SHA-256 dispatch check: prints the compression the library selected

@@ -41,48 +41,37 @@
 // extracted members and the checked-in manifest diverge, so ADDING a
 // member forces a conscious codec decision in the same diff.
 //
-// Like its siblings this is a heuristic token-level scanner on the
-// shared liblint driver, not a compiler plugin: it errs toward
-// flagging, and deliberately unserialized fields (derived caches like
-// Account::digest_valid_) carry
+// Like its siblings this is a heuristic token-level pack on the shared
+// liblint driver and call graph (shared with flowlint), not a compiler
+// plugin: it errs toward flagging, and deliberately unserialized fields
+// (derived caches like Account::digest_valid_) carry
 // `// codeclint:allow(<rule>): justification` waivers.
 //
-// Usage:
-//   codeclint [--report <file.json>] [--sarif <file.sarif>]
-//             [--root <dir>] [--manifest <file.json>]
-//             [--write-manifest] [--list-rules] [--rules-md]
-//             [--check-waivers] <dir-or-file>...
-//
-// Exit codes: 0 = clean, 1 = usage / IO error, 2 = unsuppressed
-// findings present.
+// Usage: shardlint codeclint [flags] [--manifest <file.json>
+//        [--write-manifest]] <dir-or-file>... (liblint::Main).
 
 #include <algorithm>
-#include <cctype>
-#include <deque>
-#include <fstream>
-#include <iostream>
+#include <iterator>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "liblint/liblint.h"
+#include "packs.h"
 
 namespace {
 
-using liblint::CallSite;
+using liblint::CallGraph;
+using liblint::ClassPrefix;
 using liblint::EmitFinding;
-using liblint::ExtractCallSites;
-using liblint::ExtractFunctions;
 using liblint::ExtractRecords;
+using liblint::FindIn;
 using liblint::Finding;
-using liblint::FunctionDef;
-using liblint::JsonEscape;
-using liblint::MatchParen;
+using liblint::LastComponent;
 using liblint::RecordDef;
 using liblint::RecordField;
 using liblint::RuleInfo;
+using liblint::SkipWs;
 using liblint::Source;
 using liblint::TokenAt;
 
@@ -130,16 +119,6 @@ constexpr const char* kExecutionRoots[] = {"ExecuteTransactions"};
 // many members before its members join the outer coverage obligation.
 constexpr size_t kExpandMinFields = 2;
 
-std::string LastComponent(const std::string& qualified) {
-  const size_t sep = qualified.rfind("::");
-  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-}
-
-std::string ClassPrefix(const std::string& name) {
-  const size_t sep = name.rfind("::");
-  return sep == std::string::npos ? std::string() : name.substr(0, sep);
-}
-
 // True when `token` occurs on identifier boundaries anywhere in
 // [begin, end) of `s` and names a type there. An occurrence followed
 // by `::` is a QUALIFIER (`MerklePatriciaTrie::Proof` names Proof, not
@@ -148,13 +127,9 @@ std::string ClassPrefix(const std::string& name) {
 bool TokenInRange(const std::string& s, size_t begin, size_t end,
                   const std::string& token) {
   size_t pos = begin;
-  while ((pos = s.find(token, pos)) != std::string::npos && pos < end) {
+  while ((pos = FindIn(s, token, pos, end)) != std::string::npos) {
     if (TokenAt(s, pos, token)) {
-      size_t after = pos + token.size();
-      while (after < s.size() &&
-             std::isspace(static_cast<unsigned char>(s[after]))) {
-        ++after;
-      }
+      const size_t after = SkipWs(s, pos + token.size());
       const bool qualifier = after + 1 < s.size() && s[after] == ':' &&
                              s[after + 1] == ':';
       const bool wrapper = after < s.size() && s[after] == '<';
@@ -167,19 +142,12 @@ bool TokenInRange(const std::string& s, size_t begin, size_t end,
 
 // ------------------------------ Analysis --------------------------------
 
-struct Edge {
-  size_t callee = 0;
-  size_t offset = 0;
-};
-
+// What codeclint reads of one call-graph function.
 struct Fn {
-  FunctionDef def;
-  size_t src_index = 0;
   std::string last;    // Last name component.
   std::string prefix;  // Qualifier ("Transaction" for its methods).
   std::string params;  // Parameter-list text.
   std::string ret;     // Return-type text (before the name).
-  std::vector<Edge> edges;
 };
 
 struct Rec {
@@ -201,16 +169,11 @@ struct Expansion {
   std::string via;
 };
 
-using ManifestMap = std::map<std::string, std::vector<std::string>>;
-
 class Analysis {
  public:
   explicit Analysis(const std::vector<Source>& sources)
-      : sources_(sources) {}
-
-  void Run() {
+      : sources_(sources), graph_(sources) {
     IndexFunctions();
-    BuildEdges();
     IndexRecords();
     PairRecords();
     FindExpansions();
@@ -225,69 +188,26 @@ class Analysis {
   // member names), expanded nested configs, and enums used as field
   // types of paired records (enumerator names — adding an enumerator
   // changes the wire meaning of the stored byte).
-  ManifestMap Manifest() const;
+  liblint::ArtifactMap Manifest() const;
 
  private:
   void IndexFunctions() {
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      const std::string& code = sources_[s].code();
-      for (FunctionDef& def : ExtractFunctions(sources_[s])) {
-        Fn fn;
-        fn.def = std::move(def);
-        fn.src_index = s;
-        fn.last = LastComponent(fn.def.name);
-        fn.prefix = ClassPrefix(fn.def.name);
-        // Parameter list: the first '(' after the name (and before the
-        // body) opens it.
-        size_t open = code.find('(', fn.def.name_pos);
-        if (open != std::string::npos && open < fn.def.body_open) {
-          const size_t close = MatchParen(code, open);
-          if (close != std::string::npos && close < fn.def.body_open) {
-            fn.params = code.substr(open + 1, close - open - 1);
-          }
-        }
-        // Return type: the text between the previous declaration
-        // boundary and the name.
-        size_t rb = fn.def.name_pos;
-        while (rb > 0 && code[rb - 1] != ';' && code[rb - 1] != '{' &&
-               code[rb - 1] != '}') {
-          --rb;
-        }
-        fn.ret = code.substr(rb, fn.def.name_pos - rb);
-        by_name_[fn.def.name].push_back(fns_.size());
-        by_last_[fn.last].push_back(fns_.size());
-        fns_.push_back(std::move(fn));
+    for (const liblint::GraphFn& g : graph_.fns()) {
+      const std::string& code = sources_[g.src_index].code();
+      Fn fn;
+      fn.last = LastComponent(g.def.name);
+      fn.prefix = ClassPrefix(g.def.name);
+      fn.params = code.substr(g.def.params_open + 1,
+                              g.def.params_close - g.def.params_open - 1);
+      // Return type: the text between the previous declaration
+      // boundary and the name.
+      size_t rb = g.def.name_pos;
+      while (rb > 0 && code[rb - 1] != ';' && code[rb - 1] != '{' &&
+             code[rb - 1] != '}') {
+        --rb;
       }
-    }
-  }
-
-  // Call resolution, over-approximating by design (same policy as
-  // flowlint): `std::`-qualified callees are leaves; a qualified
-  // callee resolves to exact matches; an unqualified callee from
-  // inside class C prefers C's member, else every function with that
-  // last component.
-  void BuildEdges() {
-    for (Fn& fn : fns_) {
-      const Source& src = sources_[fn.src_index];
-      for (const CallSite& call : ExtractCallSites(
-               src, fn.def.body_open + 1, fn.def.body_close)) {
-        if (call.callee.rfind("std::", 0) == 0) continue;
-        std::vector<size_t> targets;
-        if (call.callee.find("::") != std::string::npos) {
-          auto it = by_name_.find(call.callee);
-          if (it != by_name_.end()) targets = it->second;
-        } else {
-          if (!fn.prefix.empty()) {
-            auto it = by_name_.find(fn.prefix + "::" + call.callee);
-            if (it != by_name_.end()) targets = it->second;
-          }
-          if (targets.empty()) {
-            auto it = by_last_.find(call.callee);
-            if (it != by_last_.end()) targets = it->second;
-          }
-        }
-        for (size_t t : targets) fn.edges.push_back({t, call.offset});
-      }
+      fn.ret = code.substr(rb, g.def.name_pos - rb);
+      fns_.push_back(std::move(fn));
     }
   }
 
@@ -415,46 +335,26 @@ class Analysis {
     return false;
   }
 
-  // BFS from `starts`, following calls only into R-related functions —
-  // delegation like EncodeBlock → header.Encode() is covered without
-  // leaking another record's references in.
+  // Functions reachable from `starts` through calls into R-related
+  // functions only — delegation like EncodeBlock → header.Encode() is
+  // covered without leaking another record's references in.
   std::vector<size_t> Closure(const Rec& rec,
                               const std::vector<size_t>& starts) const {
-    std::vector<size_t> out;
-    std::set<size_t> visited;
-    std::deque<size_t> queue;
-    for (size_t s : starts) {
-      if (visited.insert(s).second) {
-        queue.push_back(s);
-        out.push_back(s);
-      }
-    }
-    while (!queue.empty()) {
-      const size_t at = queue.front();
-      queue.pop_front();
-      for (const Edge& e : fns_[at].edges) {
-        if (visited.count(e.callee) > 0 || !Related(rec, e.callee)) {
-          continue;
-        }
-        visited.insert(e.callee);
-        queue.push_back(e.callee);
-        out.push_back(e.callee);
-      }
-    }
-    return out;
+    return graph_.Reachable(starts,
+                            [&](size_t f) { return Related(rec, f); });
   }
 
   // Token references to `names` inside fn's body: name -> offset of
   // the LAST occurrence.
   std::map<std::string, size_t> DirectRefs(
       size_t fn_index, const std::vector<std::string>& names) const {
-    const Fn& fn = fns_[fn_index];
-    const std::string& code = sources_[fn.src_index].code();
+    const liblint::FunctionDef& def = graph_.fns()[fn_index].def;
+    const std::string& code = graph_.SourceOf(fn_index).code();
     std::map<std::string, size_t> out;
     for (const std::string& name : names) {
-      size_t pos = fn.def.body_open + 1;
-      while ((pos = code.find(name, pos)) != std::string::npos &&
-             pos < fn.def.body_close) {
+      size_t pos = def.body_open + 1;
+      while ((pos = FindIn(code, name, pos, def.body_close)) !=
+             std::string::npos) {
         if (TokenAt(code, pos, name)) out[name] = pos;
         pos += name.size();
       }
@@ -496,25 +396,17 @@ class Analysis {
     return names;
   }
 
-  std::string FnHop(size_t fn_index) const {
-    const Fn& fn = fns_[fn_index];
-    const Source& src = sources_[fn.src_index];
-    return fn.def.name + " (" + src.path() + ":" +
-           std::to_string(src.LineOf(fn.def.name_pos)) + ")";
-  }
-
   std::string SetHops(const std::vector<size_t>& set) const {
     std::string out;
-    for (size_t f : set) out += (out.empty() ? "" : ", ") + FnHop(f);
+    for (size_t f : set) out += (out.empty() ? "" : ", ") + graph_.Hop(f);
     return out;
   }
 
   const std::vector<Source>& sources_;
-  std::vector<Fn> fns_;
+  CallGraph graph_;
+  std::vector<Fn> fns_;  // Parallel to graph_.fns().
   std::vector<Rec> recs_;
   std::vector<Expansion> expansions_;
-  std::map<std::string, std::vector<size_t>> by_name_;
-  std::map<std::string, std::vector<size_t>> by_last_;
   std::map<std::string, std::vector<size_t>> rec_by_last_;
 };
 
@@ -645,12 +537,12 @@ void Analysis::EmitEncodeDecodeDrift(std::vector<Finding>* out) const {
         }
         return s;
       };
-      const Fn& dec_fn = fns_[dec_primary];
-      EmitFinding(sources_[dec_fn.src_index], dec_fn.def.name_pos,
+      EmitFinding(graph_.SourceOf(dec_primary),
+                  graph_.fns()[dec_primary].def.name_pos,
                   "encode-decode-drift",
-                  rec.def.name + ": " + FnHop(enc_primary) +
+                  rec.def.name + ": " + graph_.Hop(enc_primary) +
                       " orders [" + join(enc_common) + "] but " +
-                      FnHop(dec_primary) + " orders [" + join(dec_common) +
+                      graph_.Hop(dec_primary) + " orders [" + join(dec_common) +
                       "]",
                   out);
     }
@@ -692,30 +584,16 @@ void Analysis::EmitDigestMissingField(std::vector<Finding>* out) const {
 // consensus execution (member access reachable from the execution
 // roots) but absent from the signing digest's closure.
 void Analysis::EmitUnsignedMutableField(std::vector<Finding>* out) const {
-  // The execution closure: full-graph BFS from the execution roots.
-  std::vector<size_t> exec;
-  {
-    std::set<size_t> visited;
-    std::deque<size_t> queue;
-    for (size_t f = 0; f < fns_.size(); ++f) {
-      for (const char* root : kExecutionRoots) {
-        if (fns_[f].last == root && visited.insert(f).second) {
-          queue.push_back(f);
-          exec.push_back(f);
-        }
-      }
-    }
-    while (!queue.empty()) {
-      const size_t at = queue.front();
-      queue.pop_front();
-      for (const Edge& e : fns_[at].edges) {
-        if (visited.insert(e.callee).second) {
-          queue.push_back(e.callee);
-          exec.push_back(e.callee);
-        }
-      }
+  // The execution closure: everything reachable from the execution
+  // roots.
+  std::vector<size_t> roots;
+  for (size_t f = 0; f < fns_.size(); ++f) {
+    for (const char* root : kExecutionRoots) {
+      if (fns_[f].last == root) roots.push_back(f);
     }
   }
+  const std::vector<size_t> exec =
+      graph_.Reachable(roots, [](size_t) { return true; });
   if (exec.empty()) return;
 
   for (size_t r = 0; r < recs_.size(); ++r) {
@@ -735,11 +613,11 @@ void Analysis::EmitUnsignedMutableField(std::vector<Finding>* out) const {
       size_t reader = fns_.size();
       size_t read_offset = 0;
       for (size_t e : exec) {
-        const Fn& fn = fns_[e];
-        const std::string& code = sources_[fn.src_index].code();
-        size_t pos = fn.def.body_open + 1;
-        while ((pos = code.find(f.name, pos)) != std::string::npos &&
-               pos < fn.def.body_close) {
+        const liblint::FunctionDef& def = graph_.fns()[e].def;
+        const std::string& code = graph_.SourceOf(e).code();
+        size_t pos = def.body_open + 1;
+        while ((pos = FindIn(code, f.name, pos, def.body_close)) !=
+               std::string::npos) {
           const bool dot = pos > 0 && code[pos - 1] == '.';
           const bool arrow = pos > 1 && code[pos - 2] == '-' &&
                              code[pos - 1] == '>';
@@ -753,12 +631,11 @@ void Analysis::EmitUnsignedMutableField(std::vector<Finding>* out) const {
         if (reader != fns_.size()) break;
       }
       if (reader == fns_.size()) continue;
-      const Fn& fn = fns_[reader];
-      const Source& fn_src = sources_[fn.src_index];
+      const Source& fn_src = graph_.SourceOf(reader);
       EmitFinding(sources_[rec.src_index], f.name_pos,
                   "unsigned-mutable-field",
                   rec.def.name + "." + f.name + " read by " +
-                      FnHop(reader) + " at " + fn_src.path() + ":" +
+                      graph_.Hop(reader) + " at " + fn_src.path() + ":" +
                       std::to_string(fn_src.LineOf(read_offset)) +
                       " but absent from the signing closure of " +
                       SetHops(signing),
@@ -767,8 +644,8 @@ void Analysis::EmitUnsignedMutableField(std::vector<Finding>* out) const {
   }
 }
 
-ManifestMap Analysis::Manifest() const {
-  ManifestMap out;
+liblint::ArtifactMap Analysis::Manifest() const {
+  liblint::ArtifactMap out;
   std::set<size_t> extra;  // Expanded records and field-type enums.
   for (size_t r = 0; r < recs_.size(); ++r) {
     const Rec& rec = recs_[r];
@@ -788,7 +665,7 @@ ManifestMap Analysis::Manifest() const {
   }
   for (const Expansion& e : expansions_) extra.insert(e.inner);
   for (size_t x : extra) {
-    ManifestMap::mapped_type names;
+    std::vector<std::string> names;
     for (const RecordField& f : recs_[x].def.fields) {
       if (!f.is_static) names.push_back(f.name);
     }
@@ -797,163 +674,26 @@ ManifestMap Analysis::Manifest() const {
   return out;
 }
 
-// ------------------------------ Manifest IO ------------------------------
-
-bool WriteManifest(const std::string& path, const ManifestMap& manifest) {
-  std::ofstream out(path);
-  out << "{\n  \"tool\": \"codeclint\",\n  \"version\": 1,\n"
-      << "  \"records\": [";
-  size_t i = 0;
-  for (const auto& [name, fields] : manifest) {
-    out << (i++ == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << JsonEscape(name) << "\", \"fields\": [";
-    size_t j = 0;
-    for (const std::string& f : fields) {
-      out << (j++ == 0 ? "" : ", ") << "\"" << JsonEscape(f) << "\"";
-    }
-    out << "]}";
-  }
-  out << (manifest.empty() ? "]\n" : "\n  ]\n") << "}\n";
-  out.flush();
-  return out.good();
-}
-
-// Minimal reader for the exact shape WriteManifest produces (plus
-// whitespace tolerance).
-bool ParseManifest(const std::string& text, ManifestMap* out) {
-  size_t pos = 0;
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    size_t q = text.find('"', text.find(':', pos) + 1);
-    if (q == std::string::npos) return false;
-    size_t qe = text.find('"', q + 1);
-    if (qe == std::string::npos) return false;
-    const std::string name = text.substr(q + 1, qe - q - 1);
-    const size_t fields_key = text.find("\"fields\"", qe);
-    if (fields_key == std::string::npos) return false;
-    const size_t open = text.find('[', fields_key);
-    const size_t close = text.find(']', fields_key);
-    if (open == std::string::npos || close == std::string::npos) {
-      return false;
-    }
-    std::vector<std::string> fields;
-    size_t t = open;
-    while ((t = text.find('"', t + 1)) != std::string::npos && t < close) {
-      const size_t te = text.find('"', t + 1);
-      if (te == std::string::npos || te > close) return false;
-      fields.push_back(text.substr(t + 1, te - t - 1));
-      t = te;
-    }
-    (*out)[name] = std::move(fields);
-    pos = close;
-  }
-  return true;
-}
-
-std::string JoinFields(const std::vector<std::string>& fields) {
-  std::string out;
-  for (const std::string& f : fields) out += (out.empty() ? "" : ", ") + f;
-  return out;
-}
-
-// Rule 5: field-manifest-drift. Findings attribute to the manifest
-// file itself; there is no source line to waive on, and drift is never
-// acceptable — the fix is always to regenerate and review the diff.
-void CheckManifestDrift(const std::string& path, const ManifestMap& computed,
-                        std::vector<Finding>* out) {
-  std::ifstream in(path, std::ios::binary);
-  ManifestMap recorded;
-  bool parsed = false;
-  if (in) {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    parsed = ParseManifest(buffer.str(), &recorded);
-  }
-  auto drift = [&](const std::string& message) {
-    Finding f;
-    f.file = path;
-    f.line = 1;
-    f.rule = "field-manifest-drift";
-    f.snippet = message + "; regenerate with --write-manifest";
-    f.suppressed = false;
-    out->push_back(std::move(f));
-  };
-  if (!parsed) {
-    drift("manifest file missing or unparsable");
-    return;
-  }
-  for (const auto& [name, fields] : computed) {
-    auto it = recorded.find(name);
-    if (it == recorded.end()) {
-      drift("manifest missing record \"" + name + "\" (extracted: " +
-            JoinFields(fields) + ")");
-    } else if (it->second != fields) {
-      drift("manifest for \"" + name + "\" lists [" +
-            JoinFields(it->second) + "] but extraction finds [" +
-            JoinFields(fields) + "]");
-    }
-  }
-  for (const auto& [name, fields] : recorded) {
-    if (computed.count(name) == 0) {
-      drift("manifest lists \"" + name +
-            "\" which is no longer extracted as a serialized record");
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip codeclint's own flags before handing the rest to the shared
-  // driver.
-  std::string manifest_path;
-  bool write_manifest = false;
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--manifest" && i + 1 < argc) {
-      manifest_path = argv[++i];
-    } else if (arg == "--write-manifest") {
-      write_manifest = true;
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  if (write_manifest && manifest_path.empty()) {
-    std::cerr << "codeclint: --write-manifest requires --manifest <file>\n";
-    return 1;
-  }
-
+liblint::Tool CodeclintPack() {
   liblint::Tool tool;
   tool.name = "codeclint";
   tool.tagline =
       "whole-program field-coverage analysis for codecs, digests, and "
       "signatures";
   tool.rules = kRules;
-  tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
-  bool manifest_write_failed = false;
-  tool.scan_program = [&](const std::vector<Source>& sources,
-                          std::vector<Finding>* out) {
-    Analysis analysis(sources);
-    analysis.Run();
+  tool.rule_count = std::size(kRules);
+  tool.scan_program = [](const std::vector<Source>& sources,
+                         std::vector<Finding>* out) {
+    const Analysis analysis(sources);
     analysis.EmitCodecMissingField(out);
     analysis.EmitEncodeDecodeDrift(out);
     analysis.EmitDigestMissingField(out);
     analysis.EmitUnsignedMutableField(out);
-    if (write_manifest) {
-      if (!WriteManifest(manifest_path, analysis.Manifest())) {
-        manifest_write_failed = true;
-      }
-    } else if (!manifest_path.empty()) {
-      CheckManifestDrift(manifest_path, analysis.Manifest(), out);
-    }
+    return analysis.Manifest();
   };
-  const int rc = liblint::RunLinter(tool, static_cast<int>(pass.size()),
-                                    pass.data());
-  if (manifest_write_failed) {
-    std::cerr << "codeclint: cannot write manifest to \"" << manifest_path
-              << "\"\n";
-    return 1;
-  }
-  return rc;
+  tool.artifact = liblint::Artifact{"manifest", "records", "fields",
+                                    "field-manifest-drift"};
+  return tool;
 }

@@ -8,29 +8,26 @@
 // splitting bug: two honest miners derive different plans from the same
 // broadcast and fork the shard.
 //
-// This tool scans the consensus-critical directories (plus bench/,
-// examples/, and tools/ itself — timing reads there carry lookup-only
-// waivers) for those hazard patterns. The scanner core — file walking,
-// comment/literal stripping, `detlint:allow(...)` waivers, JSON
-// reports, `--check-waivers` — is the shared liblint driver
-// (tools/liblint/); this file holds only the rule table and the rule
-// scanners. See also tools/parlint, the sibling tool enforcing the
-// DESIGN.md §9/§10 parallelism and snapshot-journal contracts.
+// This pack scans src/, bench/, examples/, and tools/ itself (timing
+// reads and lookup-only indexes there carry inline waivers) for those
+// hazard patterns. The calls it flags come from liblint's shared
+// nondeterminism-source table, the one flowlint seeds its taints from;
+// file walking, comment/literal stripping, `detlint:allow(...)`
+// waivers, reports, and `--check-waivers` are the shared driver
+// (tools/liblint/). This file holds only the rule table and the rule
+// scanners. See also tools/parlint, the sibling pack enforcing the
+// DESIGN.md §9 parallel contract.
 //
-// Usage:
-//   detlint [--report <file.json>] [--root <dir>] [--list-rules]
-//           [--rules-md] [--check-waivers] <dir-or-file>...
-//
-// Exit codes: 0 = clean (all findings suppressed or none), 1 = usage /
-// IO error, 2 = unsuppressed findings present.
+// Usage: shardlint detlint [flags] <dir-or-file>... (liblint::Main).
 
 #include <cctype>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "liblint/liblint.h"
+#include "packs.h"
 
 namespace {
 
@@ -39,6 +36,7 @@ using liblint::Finding;
 using liblint::IsIdentChar;
 using liblint::MatchAngle;
 using liblint::RuleInfo;
+using liblint::SkipWs;
 using liblint::Source;
 using liblint::TokenAt;
 
@@ -158,11 +156,7 @@ class Scanner {
         pos += 3;
         continue;
       }
-      size_t paren = pos + 3;
-      while (paren < code.size() &&
-             std::isspace(static_cast<unsigned char>(code[paren]))) {
-        ++paren;
-      }
+      const size_t paren = SkipWs(code, pos + 3);
       if (paren >= code.size() || code[paren] != '(') {
         pos += 3;
         continue;
@@ -216,11 +210,7 @@ class Scanner {
   // hazard, so the rule is emitted for any compound addition.
   void ScanAccumulation(const Source& src, size_t close) {
     const std::string& code = src.code();
-    size_t i = close + 1;
-    while (i < code.size() &&
-           std::isspace(static_cast<unsigned char>(code[i]))) {
-      ++i;
-    }
+    const size_t i = SkipWs(code, close + 1);
     size_t end;
     if (i < code.size() && code[i] == '{') {
       int depth = 0;
@@ -240,99 +230,22 @@ class Scanner {
     }
   }
 
-  // Rules: std-rand, random-device, wall-clock.
+  // Rules: std-rand, random-device, wall-clock — the table rows that
+  // carry a detlint rule.
   void ScanCalls(const Source& src) {
-    const std::string& code = src.code();
-    struct Pattern {
-      const char* token;
-      const char* rule;
-      bool needs_call = false;  // Must be followed by '('.
-    };
-    constexpr Pattern kPatterns[] = {
-        {"srand", "std-rand", true},
-        {"rand", "std-rand", true},
-        {"random_device", "random-device"},
-        {"time", "wall-clock", true},
-        {"gettimeofday", "wall-clock", true},
-        {"clock", "wall-clock", true},
-        {"system_clock", "wall-clock"},
-        {"steady_clock", "wall-clock"},
-        {"high_resolution_clock", "wall-clock"},
-        {"__DATE__", "wall-clock"},
-        {"__TIME__", "wall-clock"},
-        {"__TIMESTAMP__", "wall-clock"},
-    };
-    for (const Pattern& p : kPatterns) {
-      size_t pos = 0;
-      const std::string token = p.token;
-      while ((pos = code.find(token, pos)) != std::string::npos) {
-        if (!TokenAt(code, pos, token)) {
-          pos += token.size();
-          continue;
-        }
-        // Member access like `obj.rand` or `x.time` is a method of that
-        // object, not the libc symbol. Qualified `std::rand` still
-        // matches: the bare token is found after the "::".
-        if (pos >= 1 && code[pos - 1] == '.') {
-          pos += token.size();
-          continue;
-        }
-        if (p.needs_call) {
-          size_t after = pos + token.size();
-          while (after < code.size() &&
-                 std::isspace(static_cast<unsigned char>(code[after]))) {
-            ++after;
-          }
-          if (after >= code.size() || code[after] != '(') {
-            pos += token.size();
-            continue;
-          }
-        }
-        Emit(src, pos, p.rule);
-        pos += token.size();
-      }
-    }
+    liblint::MatchSources(
+        src.code(), 0, src.code().size(), liblint::kNondetSources,
+        std::size(liblint::kNondetSources),
+        [&](const liblint::NondetSource& row, size_t pos) {
+          if (row.detlint_rule != nullptr) Emit(src, pos, row.detlint_rule);
+        });
   }
 
   // Rule: pointer-keyed-order — std::map< T* , ...> / std::set<T*>.
   void ScanPointerKeys(const Source& src) {
-    const std::string& code = src.code();
-    for (const char* type : {"map", "set", "multimap", "multiset"}) {
-      size_t pos = 0;
-      const std::string token = type;
-      while ((pos = code.find(token, pos)) != std::string::npos) {
-        if (!TokenAt(code, pos, token) ||
-            code.find('<', pos) != pos + token.size()) {
-          pos += token.size();
-          continue;
-        }
-        const size_t open = pos + token.size();
-        const size_t close = MatchAngle(code, open);
-        if (close == std::string::npos) {
-          pos += token.size();
-          continue;
-        }
-        // Key type: first template argument at depth 1.
-        int depth = 0;
-        size_t key_end = close;
-        for (size_t i = open; i <= close; ++i) {
-          if (code[i] == '<') ++depth;
-          if (code[i] == '>') --depth;
-          if (code[i] == ',' && depth == 1) {
-            key_end = i;
-            break;
-          }
-        }
-        std::string key = code.substr(open + 1, key_end - open - 1);
-        while (!key.empty() &&
-               std::isspace(static_cast<unsigned char>(key.back()))) {
-          key.pop_back();
-        }
-        if (!key.empty() && key.back() == '*') {
-          Emit(src, pos, "pointer-keyed-order");
-        }
-        pos = close;
-      }
+    for (size_t pos :
+         liblint::PointerKeyedContainers(src.code(), 0, src.code().size())) {
+      Emit(src, pos, "pointer-keyed-order");
     }
   }
 
@@ -340,39 +253,18 @@ class Scanner {
   std::set<std::string> unordered_names_;
 };
 
-// tools/lint_rules.md is the concatenation of all three tools'
-// --rules-md output; detlint runs first, so it carries the file header.
-constexpr char kMdPreamble[] =
-    "# Lint rules\n"
-    "\n"
-    "Generated from each tool's `kRules` table — do not edit by hand.\n"
-    "The `lint_rules_md_in_sync` ctest diffs this file against the\n"
-    "generators; regenerate with:\n"
-    "\n"
-    "    build/tools/detlint   --rules-md >  tools/lint_rules.md\n"
-    "    build/tools/parlint   --rules-md >> tools/lint_rules.md\n"
-    "    build/tools/flowlint  --rules-md >> tools/lint_rules.md\n"
-    "    build/tools/codeclint --rules-md >> tools/lint_rules.md\n"
-    "\n"
-    "All four linters share the liblint driver (`tools/liblint/`):\n"
-    "inline waivers are `// <tool>:allow(<rule>[,<rule>...]): reason`\n"
-    "on the offending line or the line above, and `--check-waivers`\n"
-    "reports any waiver that suppresses zero findings (DESIGN.md §11).\n"
-    "\n";
-
 }  // namespace
 
-int main(int argc, char** argv) {
+liblint::Tool DetlintPack() {
   liblint::Tool tool;
   tool.name = "detlint";
   tool.tagline =
       "nondeterminism hazards on the consensus-critical path (DESIGN.md §7)";
-  tool.md_preamble = kMdPreamble;
   tool.rules = kRules;
-  tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
+  tool.rule_count = std::size(kRules);
   tool.scan = [](const Source& src, std::vector<Finding>* out) {
     Scanner scanner(out);
     scanner.ScanFile(src);
   };
-  return liblint::RunLinter(tool, argc, argv);
+  return tool;
 }

@@ -4,16 +4,16 @@
 // detlint and parlint are lexical, per-file scanners: they cannot see a
 // helper that reads the wall clock called three frames below
 // Ledger::BuildBlock, or a function invoked from inside a ParallelFor
-// body that mutates a local static. flowlint closes that gap: it
-// builds a token-level function index and call graph over everything it
-// is given (liblint's ExtractFunctions/ExtractCallSites), seeds taints
-// at nondeterminism sources and contract-relevant effects, propagates
-// them to callers with a worklist fixpoint, and reports violations with
-// the full call chain (`BuildBlock (f.cc:10) → PackCandidates (f.cc:5)
+// body that mutates a local static. flowlint closes that gap: over
+// liblint's call graph of everything it is given, it seeds taints at
+// nondeterminism sources and contract-relevant effects, propagates them
+// to callers with a worklist fixpoint, and reports violations with the
+// full call chain (`BuildBlock (f.cc:10) → PackCandidates (f.cc:5)
 // → system_clock [nondet:wall-clock] (f.cc:7)`).
 //
 // Taint labels:
-//   nondet:wall-clock       system_clock/steady_clock/time()/clock()
+//   nondet:wall-clock       system_clock/steady_clock/time()/clock()/
+//                           __DATE__/__TIME__/__TIMESTAMP__
 //   nondet:entropy          std::random_device
 //   nondet:rand             rand()/srand() (global C RNG)
 //   nondet:env              getenv()
@@ -39,47 +39,36 @@
 // fails CI when the computed summary and the checked-in one diverge,
 // so a review diff shows exactly which functions gained a taint.
 //
-// Like its siblings this is a heuristic token-level scanner on the
-// shared liblint driver, not a compiler plugin: call resolution is an
-// over-approximation (an unqualified callee resolves to every function
-// with that name), so it errs toward flagging and intentional uses
-// carry `// flowlint:allow(<rule>): justification` waivers.
+// Like its siblings this is a heuristic token-level pack on the shared
+// liblint driver, not a compiler plugin. The call graph is liblint's
+// (shared with codeclint) and resolves over-approximately (an
+// unqualified callee resolves to every function with that name unless
+// a class or a typed receiver pins it), so it errs toward flagging and
+// intentional uses carry `// flowlint:allow(<rule>): justification`
+// waivers. The nondet:* seeds are the rows of liblint's
+// nondeterminism-source table, the one detlint matches too.
 //
-// Usage:
-//   flowlint [--report <file.json>] [--sarif <file.sarif>]
-//            [--root <dir>] [--summaries <file.json>]
-//            [--write-summaries] [--list-rules] [--rules-md]
-//            [--check-waivers] <dir-or-file>...
-//
-// Exit codes: 0 = clean, 1 = usage / IO error, 2 = unsuppressed
-// findings present.
+// Usage: shardlint flowlint [flags] [--summaries <file.json>
+//        [--write-summaries]] <dir-or-file>... (liblint::Main).
 
-#include <algorithm>
-#include <cctype>
 #include <deque>
-#include <fstream>
-#include <iostream>
+#include <iterator>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "liblint/liblint.h"
+#include "packs.h"
 
 namespace {
 
-using liblint::CallSite;
+using liblint::CallEdge;
+using liblint::CallGraph;
 using liblint::EmitFinding;
-using liblint::ExtractCallSites;
-using liblint::ExtractFunctions;
+using liblint::FindIn;
 using liblint::Finding;
-using liblint::FunctionDef;
-using liblint::IsIdentChar;
-using liblint::JsonEscape;
-using liblint::MatchAngle;
-using liblint::MatchParen;
 using liblint::RuleInfo;
+using liblint::SkipWs;
 using liblint::Source;
 using liblint::TokenAt;
 
@@ -148,11 +137,6 @@ constexpr char kBarrierAnnotation[] = "flowlint: contract-barrier";
 // this many lines below it (covers a return type on its own line).
 constexpr size_t kAnnotationMargin = 3;
 
-std::string LastComponent(const std::string& qualified) {
-  const size_t sep = qualified.rfind("::");
-  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-}
-
 // ------------------------------ Analysis --------------------------------
 
 struct Seed {
@@ -161,31 +145,27 @@ struct Seed {
   size_t offset = 0;
 };
 
-struct Edge {
-  size_t callee = 0;  // Index into fns_.
-  size_t offset = 0;  // Call-site offset in the caller's file.
-};
-
+// Taint state of one call-graph function.
 struct Fn {
-  FunctionDef def;
-  size_t src_index = 0;
   bool is_root = false;
   bool is_barrier = false;
   std::vector<Seed> seeds;
-  std::vector<Edge> edges;           // In call-site offset order.
-  std::set<std::string> taints;      // Seeds ∪ non-barrier callees'.
+  std::set<std::string> taints;  // Seeds ∪ non-barrier callees'.
+};
+
+// The §9 parallel entry points: calling one is the effect:parallel seed.
+constexpr liblint::NondetSource kParallelSources[] = {
+    {"ParallelFor", true, nullptr, "effect:parallel"},
+    {"ParallelReduce", true, nullptr, "effect:parallel"},
+    {"ParallelChunks", true, nullptr, "effect:parallel"},
 };
 
 class Analysis {
  public:
   explicit Analysis(const std::vector<Source>& sources)
-      : sources_(sources) {}
-
-  void Run() {
-    IndexFunctions();
+      : graph_(sources), fns_(graph_.fns().size()) {
     HarvestAnnotations();
-    for (Fn& fn : fns_) SeedTaints(&fn);
-    BuildEdges();
+    for (size_t i = 0; i < fns_.size(); ++i) SeedTaints(i);
     Propagate();
   }
 
@@ -194,45 +174,44 @@ class Analysis {
   void EmitUnannotatedRootFindings(std::vector<Finding>* out) const;
 
   // Final taints per function name (union over same-named definitions,
-  // non-empty sets only) — the summary rule 4 diffs and writes.
-  std::map<std::string, std::set<std::string>> Summaries() const {
-    std::map<std::string, std::set<std::string>> out;
-    for (const Fn& fn : fns_) {
-      if (fn.taints.empty()) continue;
-      out[fn.def.name].insert(fn.taints.begin(), fn.taints.end());
+  // non-empty sets only) — the checked-in summary rule 4 diffs.
+  liblint::ArtifactMap Summaries() const {
+    std::map<std::string, std::set<std::string>> by_name;
+    for (size_t i = 0; i < fns_.size(); ++i) {
+      if (fns_[i].taints.empty()) continue;
+      by_name[Def(i).name].insert(fns_[i].taints.begin(),
+                                  fns_[i].taints.end());
+    }
+    liblint::ArtifactMap out;
+    for (const auto& [name, taints] : by_name) {
+      out[name].assign(taints.begin(), taints.end());
     }
     return out;
   }
 
  private:
-  void IndexFunctions() {
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      for (FunctionDef& def : ExtractFunctions(sources_[s])) {
-        Fn fn;
-        fn.def = std::move(def);
-        fn.src_index = s;
-        by_name_[fn.def.name].push_back(fns_.size());
-        by_last_[LastComponent(fn.def.name)].push_back(fns_.size());
-        fns_.push_back(std::move(fn));
-      }
-    }
+  const liblint::FunctionDef& Def(size_t i) const {
+    return graph_.fns()[i].def;
+  }
+  const std::vector<CallEdge>& Edges(size_t i) const {
+    return graph_.fns()[i].edges;
   }
 
   // `// flowlint: deterministic-root` / `contract-barrier` comments,
   // read from the RAW text (they are comments, blanked in code()).
   void HarvestAnnotations() {
-    for (Fn& fn : fns_) {
-      const Source& src = sources_[fn.src_index];
-      const size_t name_line = src.LineOf(fn.def.name_pos);
+    for (size_t i = 0; i < fns_.size(); ++i) {
+      const Source& src = graph_.SourceOf(i);
+      const size_t name_line = src.LineOf(Def(i).name_pos);
       const size_t first =
           name_line > kAnnotationMargin ? name_line - kAnnotationMargin : 1;
       for (size_t line = first; line <= name_line; ++line) {
         const std::string text = src.LineText(line);
         if (text.find(kRootAnnotation) != std::string::npos) {
-          fn.is_root = true;
+          fns_[i].is_root = true;
         }
         if (text.find(kBarrierAnnotation) != std::string::npos) {
-          fn.is_barrier = true;
+          fns_[i].is_barrier = true;
         }
       }
     }
@@ -244,56 +223,22 @@ class Analysis {
     fn->taints.insert(taint);
   }
 
-  void SeedTaints(Fn* fn) {
-    const std::string& code = sources_[fn->src_index].code();
-    const size_t begin = fn->def.body_open + 1;
-    const size_t end = fn->def.body_close;
-
-    struct Pattern {
-      const char* token;
-      const char* taint;
-      bool needs_call;  // Must be followed by '('.
+  void SeedTaints(size_t i) {
+    Fn* fn = &fns_[i];
+    const std::string& code = graph_.SourceOf(i).code();
+    const size_t begin = Def(i).body_open + 1;
+    const size_t end = Def(i).body_close;
+    auto seed_row = [&](const liblint::NondetSource& row, size_t pos) {
+      AddSeed(fn, row.taint, row.token, pos);
     };
-    constexpr Pattern kPatterns[] = {
-        {"system_clock", "nondet:wall-clock", false},
-        {"steady_clock", "nondet:wall-clock", false},
-        {"high_resolution_clock", "nondet:wall-clock", false},
-        {"time", "nondet:wall-clock", true},
-        {"gettimeofday", "nondet:wall-clock", true},
-        {"clock", "nondet:wall-clock", true},
-        {"random_device", "nondet:entropy", false},
-        {"rand", "nondet:rand", true},
-        {"srand", "nondet:rand", true},
-        {"getenv", "nondet:env", true},
-        {"hardware_concurrency", "nondet:hw-threads", false},
-        {"ParallelFor", "effect:parallel", true},
-        {"ParallelReduce", "effect:parallel", true},
-        {"ParallelChunks", "effect:parallel", true},
-    };
-    for (const Pattern& p : kPatterns) {
-      const std::string token = p.token;
-      size_t pos = begin;
-      while ((pos = code.find(token, pos)) != std::string::npos &&
-             pos < end) {
-        if (!TokenAt(code, pos, token) ||
-            (pos > 0 && code[pos - 1] == '.')) {
-          pos += token.size();  // `obj.time` is a member, not libc.
-          continue;
-        }
-        if (p.needs_call) {
-          const size_t after = SkipWs(code, pos + token.size());
-          if (after >= code.size() || code[after] != '(') {
-            pos += token.size();
-            continue;
-          }
-        }
-        AddSeed(fn, p.taint, token, pos);
-        pos += token.size();
-      }
-    }
-
+    liblint::MatchSources(code, begin, end, liblint::kNondetSources,
+                          std::size(liblint::kNondetSources), seed_row);
+    liblint::MatchSources(code, begin, end, kParallelSources,
+                          std::size(kParallelSources), seed_row);
     SeedStaticMutation(fn, code, begin, end);
-    SeedPointerKeys(fn, code, begin, end);
+    for (size_t pos : liblint::PointerKeyedContainers(code, begin, end)) {
+      AddSeed(fn, "nondet:ptr-order", liblint::IdentAt(code, pos), pos);
+    }
   }
 
   // A non-const local `static` is mutable cross-call state: results
@@ -302,8 +247,7 @@ class Analysis {
   void SeedStaticMutation(Fn* fn, const std::string& code, size_t begin,
                           size_t end) {
     size_t pos = begin;
-    while ((pos = code.find("static", pos)) != std::string::npos &&
-           pos < end) {
+    while ((pos = FindIn(code, "static", pos, end)) != std::string::npos) {
       if (!TokenAt(code, pos, "static")) {
         pos += 6;
         continue;
@@ -317,101 +261,18 @@ class Analysis {
     }
   }
 
-  // std::map/set (and multi variants) keyed on a pointer: iteration
-  // order is decided by the allocator, not the data.
-  void SeedPointerKeys(Fn* fn, const std::string& code, size_t begin,
-                       size_t end) {
-    for (const char* type : {"map", "set", "multimap", "multiset"}) {
-      const std::string token = type;
-      size_t pos = begin;
-      while ((pos = code.find(token, pos)) != std::string::npos &&
-             pos < end) {
-        if (!TokenAt(code, pos, token) ||
-            code.find('<', pos) != pos + token.size()) {
-          pos += token.size();
-          continue;
-        }
-        const size_t open = pos + token.size();
-        const size_t close = MatchAngle(code, open);
-        if (close == std::string::npos) {
-          pos += token.size();
-          continue;
-        }
-        int depth = 0;
-        size_t key_end = close;
-        for (size_t i = open; i <= close; ++i) {
-          if (code[i] == '<') ++depth;
-          if (code[i] == '>') --depth;
-          if (code[i] == ',' && depth == 1) {
-            key_end = i;
-            break;
-          }
-        }
-        std::string key = code.substr(open + 1, key_end - open - 1);
-        while (!key.empty() &&
-               std::isspace(static_cast<unsigned char>(key.back()))) {
-          key.pop_back();
-        }
-        if (!key.empty() && key.back() == '*') {
-          AddSeed(fn, "nondet:ptr-order", token, pos);
-        }
-        pos = close;
-      }
-    }
-  }
-
-  // Call resolution, over-approximating by design:
-  //  - `std::`-qualified callees are leaves (the std library's taints
-  //    are modeled by the seed patterns, not by resolution);
-  //  - a qualified callee resolves only to exact name matches;
-  //  - an unqualified callee from inside class C prefers C's member of
-  //    that name, else resolves to EVERY function with that last
-  //    component.
-  void BuildEdges() {
-    for (Fn& fn : fns_) {
-      const Source& src = sources_[fn.src_index];
-      const std::string class_prefix = ClassPrefix(fn.def.name);
-      for (const CallSite& call : ExtractCallSites(
-               src, fn.def.body_open + 1, fn.def.body_close)) {
-        if (call.callee.rfind("std::", 0) == 0) continue;
-        std::vector<size_t> targets;
-        if (call.callee.find("::") != std::string::npos) {
-          auto it = by_name_.find(call.callee);
-          if (it != by_name_.end()) targets = it->second;
-        } else {
-          if (!class_prefix.empty()) {
-            auto it = by_name_.find(class_prefix + "::" + call.callee);
-            if (it != by_name_.end()) targets = it->second;
-          }
-          if (targets.empty()) {
-            auto it = by_last_.find(call.callee);
-            if (it != by_last_.end()) targets = it->second;
-          }
-        }
-        for (size_t t : targets) {
-          fn.edges.push_back({t, call.offset});
-        }
-      }
-    }
-  }
-
-  static std::string ClassPrefix(const std::string& name) {
-    const size_t sep = name.rfind("::");
-    return sep == std::string::npos ? std::string() : name.substr(0, sep);
-  }
-
   // Worklist fixpoint: a caller carries every taint of its non-barrier
   // callees. Monotone over finite sets, so iterate to stability.
   void Propagate() {
     bool changed = true;
     while (changed) {
       changed = false;
-      for (Fn& fn : fns_) {
-        for (const Edge& e : fn.edges) {
+      for (size_t i = 0; i < fns_.size(); ++i) {
+        for (const CallEdge& e : Edges(i)) {
           const Fn& callee = fns_[e.callee];
           if (callee.is_barrier) continue;
           for (const std::string& t : callee.taints) {
-            if (fn.taints.insert(t).second) changed = true;
+            if (fns_[i].taints.insert(t).second) changed = true;
           }
         }
       }
@@ -420,14 +281,8 @@ class Analysis {
 
   // ------------------------------ Chains --------------------------------
 
-  std::string Hop(const Fn& fn) const {
-    const Source& src = sources_[fn.src_index];
-    return fn.def.name + " (" + src.path() + ":" +
-           std::to_string(src.LineOf(fn.def.name_pos)) + ")";
-  }
-
-  std::string SeedHop(const Fn& fn, const Seed& seed) const {
-    const Source& src = sources_[fn.src_index];
+  std::string SeedHop(size_t i, const Seed& seed) const {
+    const Source& src = graph_.SourceOf(i);
     return seed.token + " [" + seed.taint + "] (" + src.path() + ":" +
            std::to_string(src.LineOf(seed.offset)) + ")";
   }
@@ -439,8 +294,9 @@ class Analysis {
     return nullptr;
   }
 
-  // Shortest call chain from fns_[start] to a local seed of `taint`,
-  // BFS with edges in call-site order (deterministic across runs).
+  // Shortest call chain from function `start` to a local seed of
+  // `taint`, BFS with edges in call-site order (deterministic across
+  // runs).
   std::string ChainFor(size_t start, const std::string& taint) const {
     std::deque<size_t> queue{start};
     std::map<size_t, size_t> parent;  // child fn index -> parent.
@@ -453,11 +309,11 @@ class Analysis {
         while (path.back() != start) path.push_back(parent[path.back()]);
         std::string chain;
         for (auto it = path.rbegin(); it != path.rend(); ++it) {
-          chain += Hop(fns_[*it]) + " → ";
+          chain += graph_.Hop(*it) + " → ";
         }
-        return chain + SeedHop(fns_[at], *seed);
+        return chain + SeedHop(at, *seed);
       }
-      for (const Edge& e : fns_[at].edges) {
+      for (const CallEdge& e : Edges(at)) {
         const Fn& callee = fns_[e.callee];
         if (callee.is_barrier || callee.taints.count(taint) == 0 ||
             !visited.insert(e.callee).second) {
@@ -467,21 +323,11 @@ class Analysis {
         queue.push_back(e.callee);
       }
     }
-    return Hop(fns_[start]);  // Unreachable seed: degrade gracefully.
+    return graph_.Hop(start);  // Unreachable seed: degrade gracefully.
   }
 
-  static size_t SkipWs(const std::string& s, size_t pos) {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-    return pos;
-  }
-
-  const std::vector<Source>& sources_;
-  std::vector<Fn> fns_;
-  std::map<std::string, std::vector<size_t>> by_name_;
-  std::map<std::string, std::vector<size_t>> by_last_;
+  CallGraph graph_;
+  std::vector<Fn> fns_;  // Parallel to graph_.fns().
 };
 
 // Rule 1: consensus-reaches-nondet.
@@ -497,7 +343,7 @@ void Analysis::EmitRootFindings(std::vector<Finding>* out) const {
       }
     }
     if (taint.empty()) continue;
-    EmitFinding(sources_[fn.src_index], fn.def.name_pos,
+    EmitFinding(graph_.SourceOf(i), Def(i).name_pos,
                 "consensus-reaches-nondet", ChainFor(i, taint), out);
   }
 }
@@ -510,58 +356,33 @@ void Analysis::EmitRootFindings(std::vector<Finding>* out) const {
 // it hides behind a call — the callee then carries effect:parallel.)
 void Analysis::EmitParallelBodyFindings(std::vector<Finding>* out) const {
   for (size_t i = 0; i < fns_.size(); ++i) {
-    const Fn& fn = fns_[i];
-    const Source& src = sources_[fn.src_index];
-    const std::string& code = src.code();
+    const Source& src = graph_.SourceOf(i);
     std::set<size_t> emitted;  // Nested extents: once per offset.
-    for (const char* name :
-         {"ParallelChunks", "ParallelFor", "ParallelReduce"}) {
-      const std::string token = name;
-      size_t pos = fn.def.body_open + 1;
-      while ((pos = code.find(token, pos)) != std::string::npos &&
-             pos < fn.def.body_close) {
-        if (!TokenAt(code, pos, token)) {
-          pos += token.size();
-          continue;
+    for (const liblint::ParallelCall& call : liblint::ParallelCalls(
+             src.code(), Def(i).body_open + 1, Def(i).body_close)) {
+      auto inside = [&](size_t offset) {
+        return offset > call.open && offset < call.close;
+      };
+      for (const Seed& s : fns_[i].seeds) {
+        if (s.taint == "effect:static-mutation" && inside(s.offset) &&
+            emitted.insert(s.offset).second) {
+          EmitFinding(src, s.offset, "parallel-body-effects", SeedHop(i, s),
+                      out);
         }
-        size_t open = pos + token.size();
-        while (open < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[open]))) {
-          ++open;
-        }
-        if (open >= code.size() || code[open] != '(') {
-          pos += token.size();
-          continue;
-        }
-        const size_t close = MatchParen(code, open);
-        if (close == std::string::npos) {
-          pos += token.size();
-          continue;
-        }
-        for (const Seed& s : fn.seeds) {
-          if (s.taint != "effect:static-mutation") continue;
-          if (s.offset > open && s.offset < close &&
-              emitted.insert(s.offset).second) {
-            EmitFinding(src, s.offset, "parallel-body-effects",
-                        SeedHop(fn, s), out);
+      }
+      for (const CallEdge& e : Edges(i)) {
+        const Fn& callee = fns_[e.callee];
+        if (!inside(e.offset) || callee.is_barrier) continue;
+        std::string taint;
+        for (const std::string& t : callee.taints) {
+          if (t.rfind("effect:", 0) == 0) {
+            taint = t;
+            break;
           }
         }
-        for (const Edge& e : fn.edges) {
-          if (e.offset <= open || e.offset >= close) continue;
-          const Fn& callee = fns_[e.callee];
-          if (callee.is_barrier) continue;
-          std::string taint;
-          for (const std::string& t : callee.taints) {
-            if (t.rfind("effect:", 0) == 0) {
-              taint = t;
-              break;
-            }
-          }
-          if (taint.empty() || !emitted.insert(e.offset).second) continue;
-          EmitFinding(src, e.offset, "parallel-body-effects",
-                      ChainFor(e.callee, taint), out);
-        }
-        pos = close;
+        if (taint.empty() || !emitted.insert(e.offset).second) continue;
+        EmitFinding(src, e.offset, "parallel-body-effects",
+                    ChainFor(e.callee, taint), out);
       }
     }
   }
@@ -570,178 +391,33 @@ void Analysis::EmitParallelBodyFindings(std::vector<Finding>* out) const {
 // Rule 3: unannotated-root.
 void Analysis::EmitUnannotatedRootFindings(std::vector<Finding>* out) const {
   for (const char* required : kRequiredRoots) {
-    auto it = by_name_.find(required);
-    if (it == by_name_.end()) continue;  // Not in the scanned set.
-    for (size_t i : it->second) {
-      const Fn& fn = fns_[i];
-      if (fn.is_root) continue;
-      EmitFinding(sources_[fn.src_index], fn.def.name_pos,
-                  "unannotated-root", out);
-    }
-  }
-}
-
-// ----------------------------- Summaries --------------------------------
-
-using SummaryMap = std::map<std::string, std::set<std::string>>;
-
-bool WriteSummaries(const std::string& path, const SummaryMap& summaries) {
-  std::ofstream out(path);
-  out << "{\n  \"tool\": \"flowlint\",\n  \"version\": 1,\n"
-      << "  \"functions\": [";
-  size_t i = 0;
-  for (const auto& [name, taints] : summaries) {
-    out << (i++ == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << JsonEscape(name) << "\", \"taints\": [";
-    size_t j = 0;
-    for (const std::string& t : taints) {
-      out << (j++ == 0 ? "" : ", ") << "\"" << JsonEscape(t) << "\"";
-    }
-    out << "]}";
-  }
-  out << (summaries.empty() ? "]\n" : "\n  ]\n") << "}\n";
-  out.flush();
-  return out.good();
-}
-
-// Minimal reader for the exact shape WriteSummaries produces (plus
-// whitespace tolerance): `"name": "<fn>"` followed by
-// `"taints": ["a", "b"]`, repeated.
-bool ParseSummaries(const std::string& text, SummaryMap* out) {
-  size_t pos = 0;
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    size_t q = text.find('"', text.find(':', pos) + 1);
-    if (q == std::string::npos) return false;
-    size_t qe = text.find('"', q + 1);
-    if (qe == std::string::npos) return false;
-    const std::string name = text.substr(q + 1, qe - q - 1);
-    const size_t taints_key = text.find("\"taints\"", qe);
-    if (taints_key == std::string::npos) return false;
-    const size_t open = text.find('[', taints_key);
-    const size_t close = text.find(']', taints_key);
-    if (open == std::string::npos || close == std::string::npos) {
-      return false;
-    }
-    std::set<std::string> taints;
-    size_t t = open;
-    while ((t = text.find('"', t + 1)) != std::string::npos && t < close) {
-      const size_t te = text.find('"', t + 1);
-      if (te == std::string::npos || te > close) return false;
-      taints.insert(text.substr(t + 1, te - t - 1));
-      t = te;
-    }
-    (*out)[name] = std::move(taints);
-    pos = close;
-  }
-  return true;
-}
-
-std::string JoinTaints(const std::set<std::string>& taints) {
-  std::string out;
-  for (const std::string& t : taints) {
-    out += (out.empty() ? "" : ", ") + t;
-  }
-  return out;
-}
-
-// Rule 4: taint-summary-drift. Findings attribute to the summary file
-// itself; there is no source line to waive on, and drift is never
-// acceptable — the fix is always to regenerate and review the diff.
-void CheckSummaryDrift(const std::string& path, const SummaryMap& computed,
-                       std::vector<Finding>* out) {
-  std::ifstream in(path, std::ios::binary);
-  SummaryMap recorded;
-  bool parsed = false;
-  if (in) {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    parsed = ParseSummaries(buffer.str(), &recorded);
-  }
-  auto drift = [&](const std::string& message) {
-    Finding f;
-    f.file = path;
-    f.line = 1;
-    f.rule = "taint-summary-drift";
-    f.snippet = message + "; regenerate with --write-summaries";
-    f.suppressed = false;
-    out->push_back(std::move(f));
-  };
-  if (!parsed) {
-    drift("summary file missing or unparsable");
-    return;
-  }
-  for (const auto& [name, taints] : computed) {
-    auto it = recorded.find(name);
-    if (it == recorded.end()) {
-      drift("summary missing function \"" + name + "\" (computed: " +
-            JoinTaints(taints) + ")");
-    } else if (it->second != taints) {
-      drift("summary for \"" + name + "\" lists [" +
-            JoinTaints(it->second) + "] but analysis computes [" +
-            JoinTaints(taints) + "]");
-    }
-  }
-  for (const auto& [name, taints] : recorded) {
-    if (computed.count(name) == 0) {
-      drift("summary lists \"" + name +
-            "\" which is now absent or taint-free");
+    for (size_t i : graph_.Named(required)) {
+      if (fns_[i].is_root) continue;
+      EmitFinding(graph_.SourceOf(i), Def(i).name_pos, "unannotated-root",
+                  out);
     }
   }
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip flowlint's own flags before handing the rest to the shared
-  // driver.
-  std::string summaries_path;
-  bool write_summaries = false;
-  std::vector<char*> pass;
-  pass.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--summaries" && i + 1 < argc) {
-      summaries_path = argv[++i];
-    } else if (arg == "--write-summaries") {
-      write_summaries = true;
-    } else {
-      pass.push_back(argv[i]);
-    }
-  }
-  if (write_summaries && summaries_path.empty()) {
-    std::cerr << "flowlint: --write-summaries requires --summaries <file>\n";
-    return 1;
-  }
-
+liblint::Tool FlowlintPack() {
   liblint::Tool tool;
   tool.name = "flowlint";
   tool.tagline =
       "interprocedural taint analysis of the §7 determinism and §9 "
       "parallel contracts";
   tool.rules = kRules;
-  tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
-  bool summaries_write_failed = false;
-  tool.scan_program = [&](const std::vector<Source>& sources,
-                          std::vector<Finding>* out) {
-    Analysis analysis(sources);
-    analysis.Run();
+  tool.rule_count = std::size(kRules);
+  tool.scan_program = [](const std::vector<Source>& sources,
+                         std::vector<Finding>* out) {
+    const Analysis analysis(sources);
     analysis.EmitRootFindings(out);
     analysis.EmitParallelBodyFindings(out);
     analysis.EmitUnannotatedRootFindings(out);
-    if (write_summaries) {
-      if (!WriteSummaries(summaries_path, analysis.Summaries())) {
-        summaries_write_failed = true;
-      }
-    } else if (!summaries_path.empty()) {
-      CheckSummaryDrift(summaries_path, analysis.Summaries(), out);
-    }
+    return analysis.Summaries();
   };
-  const int rc = liblint::RunLinter(tool, static_cast<int>(pass.size()),
-                                    pass.data());
-  if (summaries_write_failed) {
-    std::cerr << "flowlint: cannot write summaries to \"" << summaries_path
-              << "\"\n";
-    return 1;
-  }
-  return rc;
+  tool.artifact = liblint::Artifact{"summaries", "functions", "taints",
+                                    "taint-summary-drift"};
+  return tool;
 }

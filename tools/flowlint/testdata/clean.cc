@@ -34,6 +34,29 @@ inline void ScaleAll(ThreadPool* pool, std::vector<double>* out) {
   });
 }
 
+// A member call resolves through its receiver's declared parameter
+// type: `pool->Run` below is Pool::Run, not the fan-out Pipeline::Run.
+struct Pool {
+  double Run(size_t i) const;
+};
+
+inline double Pool::Run(size_t i) const { return Scale(1.0 * i); }
+
+struct Pipeline {
+  void Run(ThreadPool* workers, std::vector<double>* out);
+};
+
+inline void Pipeline::Run(ThreadPool* workers, std::vector<double>* out) {
+  ParallelFor(workers, out->size(), 64, [out](size_t i) { (*out)[i] = 0; });
+}
+
+inline void FillFromPool(ThreadPool* workers, Pool* pool,
+                         std::vector<double>* out) {
+  ParallelFor(workers, out->size(), 64, [pool, out](size_t i) {
+    (*out)[i] = pool->Run(i);
+  });
+}
+
 // flowlint: deterministic-root
 inline uint64_t RunSelectionGame(uint64_t seed) {
   return Mix(seed * 6364136223846793005ull + 1442695040888963407ull);

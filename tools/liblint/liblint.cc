@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 namespace liblint {
 
@@ -28,6 +29,51 @@ bool TokenAt(const std::string& s, size_t pos, const std::string& token) {
     return false;
   }
   return true;
+}
+
+size_t FindIn(const std::string& s, const std::string& token, size_t pos,
+              size_t end) {
+  if (end == 0 || token.empty()) return std::string::npos;
+  const size_t limit =
+      end >= s.size() ? s.size() : std::min(s.size(), end - 1 + token.size());
+  return std::string_view(s.data(), limit).find(token, pos);
+}
+
+size_t SkipWs(const std::string& s, size_t pos) {
+  while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
+    ++pos;
+  }
+  return pos;
+}
+
+size_t PrevNonWs(const std::string& s, size_t pos) {
+  while (pos > 0) {
+    --pos;
+    if (!std::isspace(static_cast<unsigned char>(s[pos]))) return pos;
+  }
+  return std::string::npos;
+}
+
+std::string IdentAt(const std::string& s, size_t pos) {
+  size_t end = pos;
+  while (end < s.size() && IsIdentChar(s[end])) ++end;
+  return s.substr(pos, end - pos);
+}
+
+std::string IdentBefore(const std::string& s, size_t end) {
+  size_t begin = end;
+  while (begin > 0 && IsIdentChar(s[begin - 1])) --begin;
+  return s.substr(begin, end - begin);
+}
+
+std::string LastComponent(const std::string& qualified) {
+  const size_t sep = qualified.rfind("::");
+  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
+}
+
+std::string ClassPrefix(const std::string& qualified) {
+  const size_t sep = qualified.rfind("::");
+  return sep == std::string::npos ? std::string() : qualified.substr(0, sep);
 }
 
 size_t MatchAngle(const std::string& s, size_t open) {
@@ -278,29 +324,6 @@ void EmitFinding(const Source& src, size_t offset, const std::string& rule,
 
 namespace {
 
-size_t SkipWsForward(const std::string& s, size_t pos) {
-  while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
-    ++pos;
-  }
-  return pos;
-}
-
-// Last non-whitespace position strictly before `pos`, or npos.
-size_t PrevNonWsAt(const std::string& s, size_t pos) {
-  while (pos > 0) {
-    --pos;
-    if (!std::isspace(static_cast<unsigned char>(s[pos]))) return pos;
-  }
-  return std::string::npos;
-}
-
-// Identifier ending at `end` (exclusive); empty if none.
-std::string IdentBefore(const std::string& s, size_t end) {
-  size_t begin = end;
-  while (begin > 0 && IsIdentChar(s[begin - 1])) --begin;
-  return s.substr(begin, end - begin);
-}
-
 // Matches backward from `close` (indexing ')' or '}') to its opener.
 size_t MatchBackward(const std::string& s, size_t close, char lhs, char rhs) {
   int depth = 0;
@@ -331,11 +354,6 @@ std::string QualifiedNameBefore(const std::string& s, size_t end,
   return s.substr(b, end - b);
 }
 
-std::string LastComponent(const std::string& qualified) {
-  const size_t sep = qualified.rfind("::");
-  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-}
-
 // class/struct body extents, innermost resolvable by extent size; used
 // to qualify inline member definitions.
 struct ClassScope {
@@ -354,7 +372,7 @@ std::vector<ClassScope> CollectClassScopes(const std::string& code) {
         pos += key.size();
         continue;
       }
-      size_t i = SkipWsForward(code, pos + key.size());
+      size_t i = SkipWs(code, pos + key.size());
       size_t name_end = i;
       while (name_end < code.size() && IsIdentChar(code[name_end])) {
         ++name_end;
@@ -399,7 +417,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
     // Backward over trailing specifiers (`) const noexcept {`) to the
     // ')' that must close either the parameter list or the last item
     // of a constructor initializer list.
-    size_t at = PrevNonWsAt(code, i);
+    size_t at = PrevNonWs(code, i);
     bool plausible = true;
     while (at != std::string::npos && IsIdentChar(code[at])) {
       static const std::set<std::string> kSpecifiers = {
@@ -409,7 +427,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
         plausible = false;
         break;
       }
-      at = PrevNonWsAt(code, at + 1 - ident.size());
+      at = PrevNonWs(code, at + 1 - ident.size());
     }
     // A '}' is also admissible: the last ctor-initializer item may be
     // brace-initialized (`: a_(x), b_{y} {`). The hop loop below then
@@ -423,6 +441,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
     // until the name before the parameter list.
     std::string name;
     size_t name_pos = 0;
+    size_t params_open = 0;
     size_t item_close = at;
     for (int guard = 0; guard < 64; ++guard) {
       const size_t open =
@@ -430,7 +449,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
               ? MatchBackward(code, item_close, '(', ')')
               : MatchBackward(code, item_close, '{', '}');
       if (open == std::string::npos) break;
-      const size_t p = PrevNonWsAt(code, open);
+      const size_t p = PrevNonWs(code, open);
       if (p == std::string::npos || code[p] == ']' ||
           !IsIdentChar(code[p])) {
         break;  // Lambda or expression — not a definition.
@@ -441,7 +460,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
           IsFunctionNameKeyword(LastComponent(candidate))) {
         break;
       }
-      const size_t q = PrevNonWsAt(code, nb);
+      const size_t q = PrevNonWs(code, nb);
       const bool after_comma = q != std::string::npos && code[q] == ',';
       const bool after_init_colon =
           q != std::string::npos && code[q] == ':' &&
@@ -452,7 +471,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
       if (after_comma || after_init_colon) {
         // `candidate` was an initializer item; the previous ')'/'}' is
         // one more item (after ',') or the parameter list (after ':').
-        const size_t r = PrevNonWsAt(code, q);
+        const size_t r = PrevNonWs(code, q);
         if (r == std::string::npos ||
             (code[r] != ')' && code[r] != '}')) {
           break;
@@ -469,6 +488,7 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
       }
       name = candidate;
       name_pos = nb;
+      params_open = open;
       break;
     }
     if (name.empty()) continue;
@@ -494,12 +514,42 @@ std::vector<FunctionDef> ExtractFunctions(const Source& src) {
     FunctionDef fn;
     fn.name = std::move(name);
     fn.name_pos = name_pos;
+    fn.params_open = params_open;
+    fn.params_close = item_close;
     fn.body_open = i;
     fn.body_close = body_close;
     out.push_back(std::move(fn));
   }
   return out;
 }
+
+namespace {
+
+// The plain identifier `x` in `x.f(` / `x->f(` for a member name
+// starting at `name_pos`; empty when the object is anything else (a
+// call result, an element, a member of another object).
+std::string ReceiverOf(const std::string& code, size_t name_pos) {
+  const size_t p = PrevNonWs(code, name_pos);
+  if (p == std::string::npos || p == 0) return {};
+  size_t obj_end;
+  if (code[p] == '.') {
+    obj_end = PrevNonWs(code, p);
+  } else if (code[p] == '>' && code[p - 1] == '-') {
+    obj_end = PrevNonWs(code, p - 1);
+  } else {
+    return {};
+  }
+  if (obj_end == std::string::npos || !IsIdentChar(code[obj_end])) return {};
+  const std::string receiver = IdentBefore(code, obj_end + 1);
+  const size_t before = PrevNonWs(code, obj_end + 1 - receiver.size());
+  if (before != std::string::npos &&
+      (code[before] == '.' || code[before] == '>' || code[before] == ':')) {
+    return {};
+  }
+  return receiver;
+}
+
+}  // namespace
 
 std::vector<CallSite> ExtractCallSites(const Source& src, size_t begin,
                                        size_t end) {
@@ -533,11 +583,11 @@ std::vector<CallSite> ExtractCallSites(const Source& src, size_t begin,
       }
     }
     // Optional template argument list between name and '('.
-    size_t after = SkipWsForward(code, j);
+    size_t after = SkipWs(code, j);
     if (after < code.size() && code[after] == '<') {
       const size_t close = MatchAngle(code, after);
       if (close != std::string::npos && close < end) {
-        after = SkipWsForward(code, close + 1);
+        after = SkipWs(code, close + 1);
       }
     }
     if (after < end && code[after] == '(') {
@@ -553,7 +603,8 @@ std::vector<CallSite> ExtractCallSites(const Source& src, size_t begin,
           "throw",      "defined",
           "assert"};
       if (kNotCalls.count(LastComponent(chain)) == 0) {
-        out.push_back({std::move(chain), chain_start});
+        out.push_back(
+            {std::move(chain), chain_start, ReceiverOf(code, chain_start)});
       }
     }
     i = j;
@@ -590,12 +641,12 @@ std::vector<RawRecord> CollectRawRecords(const std::string& code) {
         pos += key.size();
         continue;
       }
-      size_t i = SkipWsForward(code, pos + key.size());
+      size_t i = SkipWs(code, pos + key.size());
       if (key == "enum") {
         // `enum class E` / `enum struct E`: the scoped-enum keyword.
         for (const char* scoped : {"class", "struct"}) {
           if (TokenAt(code, i, scoped)) {
-            i = SkipWsForward(code, i + std::string(scoped).size());
+            i = SkipWs(code, i + std::string(scoped).size());
             break;
           }
         }
@@ -655,7 +706,7 @@ bool IsCppKeywordName(const std::string& s) {
 // name [init]`.
 void ParseFieldStatement(const std::string& code, size_t begin, size_t end,
                          bool in_private, std::vector<RecordField>* out) {
-  size_t b = SkipWsForward(code, begin);
+  size_t b = SkipWs(code, begin);
   if (b >= end) return;
   // Leading declaration specifiers; `const` stays in the type text.
   RecordField field;
@@ -663,14 +714,14 @@ void ParseFieldStatement(const std::string& code, size_t begin, size_t end,
   while (b < end) {
     if (TokenAt(code, b, "static")) {
       field.is_static = true;
-      b = SkipWsForward(code, b + 6);
+      b = SkipWs(code, b + 6);
     } else if (TokenAt(code, b, "mutable")) {
       field.is_mutable = true;
-      b = SkipWsForward(code, b + 7);
+      b = SkipWs(code, b + 7);
     } else if (TokenAt(code, b, "inline")) {
-      b = SkipWsForward(code, b + 6);
+      b = SkipWs(code, b + 6);
     } else if (TokenAt(code, b, "constexpr")) {
-      b = SkipWsForward(code, b + 9);
+      b = SkipWs(code, b + 9);
     } else {
       break;
     }
@@ -753,7 +804,7 @@ void ParseEnumBody(const std::string& code, const RawRecord& rec,
     if (c == '(' || c == '{' || c == '[') ++depth;
     if (c == ')' || c == '}' || c == ']') --depth;
     if ((c == ',' && depth == 0) || i == rec.body_close) {
-      size_t b = SkipWsForward(code, item_begin);
+      size_t b = SkipWs(code, item_begin);
       size_t name_end = b;
       while (name_end < i && IsIdentChar(code[name_end])) ++name_end;
       if (name_end > b) {
@@ -808,7 +859,7 @@ void ParseRecordFields(const std::string& code, const RawRecord& rec,
     for (const auto& [open, close] : nested) {
       if (i == open) {
         // Jump past the nested record body and its trailing ';'.
-        i = SkipWsForward(code, close + 1);
+        i = SkipWs(code, close + 1);
         if (i < rec.body_close && code[i] == ';') ++i;
         is_nested_open = true;
         break;
@@ -850,7 +901,7 @@ void ParseRecordFields(const std::string& code, const RawRecord& rec,
             j = rec.body_close;
             break;
           }
-          const size_t nx = SkipWsForward(code, bc + 1);
+          const size_t nx = SkipWs(code, bc + 1);
           if (nx < rec.body_close && code[nx] == ',') {
             j = nx + 1;
             continue;
@@ -888,7 +939,7 @@ void ParseRecordFields(const std::string& code, const RawRecord& rec,
         (i == 0 || code[i - 1] != ':')) {
       // Access label? Only when the pending statement is exactly the
       // keyword.
-      const size_t b = SkipWsForward(code, stmt_begin);
+      const size_t b = SkipWs(code, stmt_begin);
       const std::string pending =
           b < i ? code.substr(b, i - b) : std::string();
       std::string trimmed = pending;
@@ -959,6 +1010,315 @@ std::vector<RecordDef> ExtractRecords(const Source& src) {
     out.push_back(std::move(def));
   }
   return out;
+}
+
+// ------------------------------ Call graph ------------------------------
+
+namespace {
+
+// `[const] T[*|&] x` (the declarator text before the name) -> "T";
+// empty for any other shape (templates, several type words, no type).
+std::string PlainParamType(const std::string& decl) {
+  std::string type;
+  size_t i = 0;
+  while (i < decl.size()) {
+    const char c = decl[i];
+    if (std::isspace(static_cast<unsigned char>(c)) || c == '*' || c == '&') {
+      ++i;
+      continue;
+    }
+    if (!IsIdentChar(c) && c != ':') return {};
+    size_t e = i;
+    while (e < decl.size() && (IsIdentChar(decl[e]) || decl[e] == ':')) ++e;
+    const std::string word = decl.substr(i, e - i);
+    if (word != "const") {
+      if (!type.empty()) return {};
+      type = word;
+    }
+    i = e;
+  }
+  return type;
+}
+
+// Parameter name -> plain type for `fn`'s parameter list.
+std::map<std::string, std::string> ParamTypes(const std::string& code,
+                                              const FunctionDef& fn) {
+  std::map<std::string, std::string> out;
+  size_t item = fn.params_open + 1;
+  int depth = 0;
+  for (size_t i = item; i <= fn.params_close; ++i) {
+    const char c = code[i];
+    if (c == '(' || c == '<' || c == '[' || c == '{') ++depth;
+    if (c == ')' || c == '>' || c == ']' || c == '}') --depth;
+    if ((c != ',' || depth != 0) && i != fn.params_close) continue;
+    std::string decl = code.substr(item, i - item);
+    decl = decl.substr(0, decl.find('='));  // Drop a default argument.
+    size_t end = decl.size();
+    while (end > 0 && std::isspace(static_cast<unsigned char>(decl[end - 1]))) {
+      --end;
+    }
+    const std::string name = IdentBefore(decl, end);
+    if (!name.empty()) {
+      const std::string type =
+          PlainParamType(decl.substr(0, end - name.size()));
+      if (!type.empty()) out[name] = type;
+    }
+    item = i + 1;
+  }
+  return out;
+}
+
+const std::vector<size_t> kNoFunctions;
+
+}  // namespace
+
+CallGraph::CallGraph(const std::vector<Source>& sources) : sources_(sources) {
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    for (FunctionDef& def : ExtractFunctions(sources_[s])) {
+      by_name_[def.name].push_back(fns_.size());
+      by_last_[LastComponent(def.name)].push_back(fns_.size());
+      fns_.push_back({std::move(def), s, {}});
+    }
+  }
+  for (GraphFn& fn : fns_) {
+    const Source& src = sources_[fn.src_index];
+    const auto param_types = ParamTypes(src.code(), fn.def);
+    for (const CallSite& call :
+         ExtractCallSites(src, fn.def.body_open + 1, fn.def.body_close)) {
+      for (size_t t : Resolve(fn, param_types, call)) {
+        fn.edges.push_back({t, call.offset});
+      }
+    }
+  }
+}
+
+const std::vector<size_t>& CallGraph::Resolve(
+    const GraphFn& caller,
+    const std::map<std::string, std::string>& param_types,
+    const CallSite& call) const {
+  if (call.callee.rfind("std::", 0) == 0) return kNoFunctions;
+  if (call.callee.find("::") != std::string::npos) return Named(call.callee);
+  auto typed = param_types.find(call.receiver);
+  if (typed != param_types.end()) {
+    const std::vector<size_t>& f = Named(typed->second + "::" + call.callee);
+    if (!f.empty()) return f;
+  }
+  const std::string prefix = ClassPrefix(caller.def.name);
+  if (!prefix.empty()) {
+    const std::vector<size_t>& member = Named(prefix + "::" + call.callee);
+    if (!member.empty()) return member;
+  }
+  auto it = by_last_.find(call.callee);
+  return it == by_last_.end() ? kNoFunctions : it->second;
+}
+
+const std::vector<size_t>& CallGraph::Named(const std::string& name) const {
+  auto it = by_name_.find(name);
+  return it == by_name_.end() ? kNoFunctions : it->second;
+}
+
+std::string CallGraph::Hop(size_t fn) const {
+  const Source& src = SourceOf(fn);
+  return fns_[fn].def.name + " (" + src.path() + ":" +
+         std::to_string(src.LineOf(fns_[fn].def.name_pos)) + ")";
+}
+
+std::vector<size_t> CallGraph::Reachable(
+    const std::vector<size_t>& starts,
+    const std::function<bool(size_t)>& follow) const {
+  std::vector<size_t> out;
+  std::set<size_t> visited;
+  for (size_t s : starts) {
+    if (visited.insert(s).second) out.push_back(s);
+  }
+  for (size_t next = 0; next < out.size(); ++next) {
+    for (const CallEdge& e : fns_[out[next]].edges) {
+      if (follow(e.callee) && visited.insert(e.callee).second) {
+        out.push_back(e.callee);
+      }
+    }
+  }
+  return out;
+}
+
+// -------------------- Nondeterminism-source table -----------------------
+
+void MatchSources(
+    const std::string& code, size_t begin, size_t end,
+    const NondetSource* table, size_t rows,
+    const std::function<void(const NondetSource&, size_t)>& on_match) {
+  for (size_t r = 0; r < rows; ++r) {
+    const std::string token = table[r].token;
+    size_t pos = begin;
+    while ((pos = FindIn(code, token, pos, end)) != std::string::npos) {
+      const bool member = pos > 0 && code[pos - 1] == '.';
+      if (TokenAt(code, pos, token) && !member) {
+        const size_t after = SkipWs(code, pos + token.size());
+        if (!table[r].needs_call ||
+            (after < code.size() && code[after] == '(')) {
+          on_match(table[r], pos);
+        }
+      }
+      pos += token.size();
+    }
+  }
+}
+
+std::vector<size_t> PointerKeyedContainers(const std::string& code,
+                                           size_t begin, size_t end) {
+  std::vector<size_t> out;
+  for (const std::string token : {"map", "set", "multimap", "multiset"}) {
+    size_t pos = begin;
+    while ((pos = FindIn(code, token, pos, end)) != std::string::npos) {
+      const size_t open = pos + token.size();
+      const size_t close = TokenAt(code, pos, token) &&
+                                   code.find('<', pos) == open
+                               ? MatchAngle(code, open)
+                               : std::string::npos;
+      if (close == std::string::npos) {
+        pos += token.size();
+        continue;
+      }
+      // Key type: the first template argument, up to a depth-1 comma.
+      int depth = 0;
+      size_t key_end = close;
+      for (size_t i = open; i <= close; ++i) {
+        if (code[i] == '<') ++depth;
+        if (code[i] == '>') --depth;
+        if (code[i] == ',' && depth == 1) {
+          key_end = i;
+          break;
+        }
+      }
+      const size_t key_last = PrevNonWs(code, key_end);
+      if (key_last > open && code[key_last] == '*') out.push_back(pos);
+      pos = close;
+    }
+  }
+  return out;
+}
+
+std::vector<ParallelCall> ParallelCalls(const std::string& code,
+                                        size_t begin, size_t end) {
+  std::vector<ParallelCall> out;
+  for (const std::string name :
+       {"ParallelChunks", "ParallelFor", "ParallelReduce"}) {
+    size_t pos = begin;
+    while ((pos = FindIn(code, name, pos, end)) != std::string::npos) {
+      const size_t open = SkipWs(code, pos + name.size());
+      if (TokenAt(code, pos, name) && open < code.size() &&
+          code[open] == '(') {
+        const size_t close = MatchParen(code, open);
+        if (close != std::string::npos) {
+          out.push_back({pos, open, close, name == "ParallelFor"});
+        }
+      }
+      pos += name.size();
+    }
+  }
+  return out;
+}
+
+// ------------------------- Checked-in artifacts -------------------------
+
+namespace {
+
+std::string JoinValues(const std::vector<std::string>& values) {
+  std::string out;
+  for (const std::string& v : values) out += (out.empty() ? "" : ", ") + v;
+  return out;
+}
+
+}  // namespace
+
+std::string FormatArtifact(const std::string& tool, const Artifact& artifact,
+                           const ArtifactMap& map) {
+  std::string out = "{\n  \"tool\": \"" + JsonEscape(tool) +
+                    "\",\n  \"version\": 1,\n  \"" + artifact.list_key +
+                    "\": [";
+  size_t i = 0;
+  for (const auto& [name, values] : map) {
+    out += i++ == 0 ? "\n" : ",\n";
+    out += "    {\"name\": \"" + JsonEscape(name) + "\", \"" +
+           artifact.values_key + "\": [";
+    for (size_t j = 0; j < values.size(); ++j) {
+      out += (j == 0 ? "\"" : ", \"") + JsonEscape(values[j]) + "\"";
+    }
+    out += "]}";
+  }
+  out += map.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  return out;
+}
+
+bool ParseArtifact(const std::string& text, const Artifact& artifact,
+                   ArtifactMap* out) {
+  const std::string values_key = std::string("\"") + artifact.values_key + "\"";
+  size_t pos = 0;
+  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
+    const size_t q = text.find('"', text.find(':', pos) + 1);
+    if (q == std::string::npos) return false;
+    const size_t qe = text.find('"', q + 1);
+    if (qe == std::string::npos) return false;
+    const std::string name = text.substr(q + 1, qe - q - 1);
+    const size_t key = text.find(values_key, qe);
+    if (key == std::string::npos) return false;
+    const size_t open = text.find('[', key);
+    const size_t close = text.find(']', key);
+    if (open == std::string::npos || close == std::string::npos) return false;
+    std::vector<std::string> values;
+    size_t t = open;
+    while ((t = text.find('"', t + 1)) != std::string::npos && t < close) {
+      const size_t te = text.find('"', t + 1);
+      if (te == std::string::npos || te > close) return false;
+      values.push_back(text.substr(t + 1, te - t - 1));
+      t = te;
+    }
+    (*out)[name] = std::move(values);
+    pos = close;
+  }
+  return true;
+}
+
+// Findings attribute to the artifact itself: there is no source line to
+// waive on, and drift is never acceptable — the fix is always to
+// regenerate and review the diff.
+void CheckArtifactDrift(const std::string& path, const Artifact& artifact,
+                        const ArtifactMap& computed,
+                        std::vector<Finding>* out) {
+  const std::string flag = artifact.flag;
+  auto drift = [&](const std::string& message) {
+    Finding f;
+    f.file = path;
+    f.line = 1;
+    f.rule = artifact.drift_rule;
+    f.snippet = message + "; regenerate with --write-" + flag;
+    out->push_back(std::move(f));
+  };
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  ArtifactMap recorded;
+  if (!in || !ParseArtifact(buffer.str(), artifact, &recorded)) {
+    drift(flag + " file missing or unparsable");
+    return;
+  }
+  for (const auto& [name, values] : computed) {
+    auto it = recorded.find(name);
+    if (it == recorded.end()) {
+      drift(flag + " file lacks \"" + name + "\" (computed: " +
+            JoinValues(values) + ")");
+    } else if (it->second != values) {
+      drift(flag + " file lists [" + JoinValues(it->second) + "] for \"" +
+            name + "\" but the analysis computes [" + JoinValues(values) +
+            "]");
+    }
+  }
+  for (const auto& [name, values] : recorded) {
+    if (computed.count(name) == 0) {
+      drift(flag + " file lists \"" + name +
+            "\", which the analysis no longer computes");
+    }
+  }
 }
 
 // ------------------------------ Reports ---------------------------------
@@ -1105,22 +1465,49 @@ void CheckWaivers(const Source& src, const std::vector<Finding>& file_findings,
 
 namespace {
 
+constexpr char kRulesMdHeader[] =
+    "# Lint rules\n"
+    "\n"
+    "Generated from each pack's `kRules` table — do not edit by hand.\n"
+    "The `lint_rules_md_in_sync` ctest diffs this file against the\n"
+    "generator; regenerate with:\n"
+    "\n"
+    "    build/tools/shardlint --rules-md > tools/lint_rules.md\n"
+    "\n"
+    "The four packs run in one binary, `shardlint <pack>`, over the\n"
+    "liblint core (`tools/liblint/`): inline waivers are\n"
+    "`// <pack>:allow(<rule>[,<rule>...]): reason` on the offending line\n"
+    "or the line above, and `--check-waivers` reports any waiver that\n"
+    "suppresses zero findings (DESIGN.md §11).\n"
+    "\n";
+
 bool HasSourceExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".h" || ext == ".hh" || ext == ".hpp" || ext == ".cc" ||
          ext == ".cpp" || ext == ".cxx";
 }
 
-int Usage(const Tool& tool) {
-  std::cerr << "usage: " << tool.name
-            << " [--report <file.json>] [--sarif <file.sarif>] [--root <dir>]\n"
-            << "       [--list-rules] [--rules-md] [--check-waivers]"
+int Usage(const std::vector<Tool>& packs) {
+  std::string names;
+  for (const Tool& pack : packs) {
+    names += (names.empty() ? "" : "|") + std::string(pack.name);
+  }
+  std::cerr << "usage: shardlint --rules-md\n"
+            << "       shardlint <" << names << ">\n"
+            << "         [--report <file.json>] [--sarif <file.sarif>]"
+            << " [--root <dir>]\n"
+            << "         [--list-rules] [--rules-md] [--check-waivers]"
             << " <dir-or-file>...\n";
+  for (const Tool& pack : packs) {
+    if (!pack.artifact) continue;
+    const std::string flag = pack.artifact->flag;
+    std::cerr << "       " << pack.name << " also takes: --" << flag
+              << " <file.json> [--write-" << flag << "]\n";
+  }
   return 1;
 }
 
 void PrintRulesMarkdown(const Tool& tool) {
-  if (tool.md_preamble != nullptr) std::cout << tool.md_preamble;
   std::cout << "## " << tool.name << " — " << tool.tagline << "\n\n";
   std::cout << "| Rule | Summary |\n|------|---------|\n";
   for (size_t i = 0; i < tool.rule_count; ++i) {
@@ -1134,14 +1521,17 @@ void PrintRulesMarkdown(const Tool& tool) {
   std::cout << "\n";
 }
 
-}  // namespace
-
-int RunLinter(const Tool& tool, int argc, char** argv) {
+// One pack's run; argv[0] is the pack name.
+int RunPack(const std::vector<Tool>& packs, const Tool& tool, int argc,
+            char** argv) {
+  const std::string flag = tool.artifact ? tool.artifact->flag : "";
   std::vector<std::string> targets;
   std::string report_path;
   std::string sarif_path;
+  std::string artifact_path;
   std::string root;
   bool check_waivers = false;
+  bool write_artifact = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--report" && i + 1 < argc) {
@@ -1152,6 +1542,10 @@ int RunLinter(const Tool& tool, int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--check-waivers") {
       check_waivers = true;
+    } else if (!flag.empty() && arg == "--" + flag && i + 1 < argc) {
+      artifact_path = argv[++i];
+    } else if (!flag.empty() && arg == "--write-" + flag) {
+      write_artifact = true;
     } else if (arg == "--list-rules") {
       for (size_t r = 0; r < tool.rule_count; ++r) {
         std::cout << tool.rules[r].name << "\t" << tool.rules[r].summary
@@ -1162,12 +1556,17 @@ int RunLinter(const Tool& tool, int argc, char** argv) {
       PrintRulesMarkdown(tool);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      return Usage(tool);
+      return Usage(packs);
     } else {
       targets.push_back(arg);
     }
   }
-  if (targets.empty()) return Usage(tool);
+  if (write_artifact && artifact_path.empty()) {
+    std::cerr << tool.name << ": --write-" << flag << " requires --" << flag
+              << " <file>\n";
+    return 1;
+  }
+  if (targets.empty()) return Usage(packs);
 
   std::vector<fs::path> files;
   for (const std::string& t : targets) {
@@ -1220,7 +1619,23 @@ int RunLinter(const Tool& tool, int argc, char** argv) {
   if (tool.scan) {
     for (const Source& src : sources) tool.scan(src, &findings);
   }
-  if (tool.scan_program) tool.scan_program(sources, &findings);
+  const ArtifactMap computed =
+      tool.scan_program ? tool.scan_program(sources, &findings)
+                        : ArtifactMap();
+  if (!artifact_path.empty()) {
+    if (write_artifact) {
+      std::ofstream out(artifact_path);
+      out << FormatArtifact(tool.name, *tool.artifact, computed);
+      out.flush();
+      if (!out.good()) {
+        std::cerr << tool.name << ": cannot write " << flag << " to \""
+                  << artifact_path << "\"\n";
+        return 1;
+      }
+    } else {
+      CheckArtifactDrift(artifact_path, *tool.artifact, computed, &findings);
+    }
+  }
   if (check_waivers) {
     // Stale-waiver pass: each file's waivers against each file's
     // findings (scan and scan_program alike — chains attribute to the
@@ -1268,6 +1683,21 @@ int RunLinter(const Tool& tool, int argc, char** argv) {
             << findings.size() << " findings, " << unsuppressed
             << " unsuppressed\n";
   return unsuppressed == 0 ? 0 : 2;
+}
+
+}  // namespace
+
+int Main(const std::vector<Tool>& packs, int argc, char** argv) {
+  const std::string first = argc > 1 ? argv[1] : "";
+  if (first == "--rules-md" && argc == 2) {
+    std::cout << kRulesMdHeader;
+    for (const Tool& pack : packs) PrintRulesMarkdown(pack);
+    return 0;
+  }
+  for (const Tool& pack : packs) {
+    if (first == pack.name) return RunPack(packs, pack, argc - 1, argv + 1);
+  }
+  return Usage(packs);
 }
 
 }  // namespace liblint

@@ -1,16 +1,20 @@
-// Unit tests for the shared lint core. detlint, parlint, and flowlint
-// all sit on this lexer and driver plumbing, so a regression here
-// would blind every scanner at once — these tests pin the
-// comment/literal stripper, the waiver parser, the stale-waiver pass,
-// the function/call-site extraction, and the JSON report schema
-// (against a golden fixture) directly.
+// Unit tests for the shared lint core. All four shardlint packs sit on
+// this lexer and driver plumbing, so a regression here would blind
+// every pack at once — these tests pin the comment/literal stripper,
+// the waiver parser, the stale-waiver pass, the function/call-site
+// extraction, the call graph's resolution policy, the
+// nondeterminism-source table, the checked-in artifact format (against
+// both checked-in files), and the JSON report schema (against a golden
+// fixture) directly.
 
 #include "liblint/liblint.h"
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -352,6 +356,122 @@ TEST(ExtractCallSitesTest, FindsCallsWithQualifiersAndTemplateArgs) {
   EXPECT_EQ(callees, expected);
 }
 
+// ------------------------------ Call graph ------------------------------
+
+// Callee names of `caller`'s edges, in edge order.
+std::vector<std::string> Callees(const CallGraph& graph,
+                                 const std::string& caller) {
+  std::vector<std::string> out;
+  for (size_t i : graph.Named(caller)) {
+    for (const CallEdge& e : graph.fns()[i].edges) {
+      out.push_back(graph.fns()[e.callee].def.name);
+    }
+  }
+  return out;
+}
+
+using Names = std::vector<std::string>;
+
+TEST(CallGraphTest, ResolutionPolicy) {
+  const std::vector<Source> sources = {Source(
+      "t.cc",
+      "void sort(int* v) {}\n"
+      "void A::Go() {}\n"
+      "void B::Go() {}\n"
+      "void Leaf() { std::sort(v); }\n"
+      "void Qualified() { B::Go(); }\n"
+      "void A::Member() { Go(); }\n"
+      "void Free() { Go(); }\n",
+      "tool")};
+  const CallGraph graph(sources);
+  EXPECT_EQ(Callees(graph, "Leaf"), Names{});  // std:: stays a leaf.
+  EXPECT_EQ(Callees(graph, "Qualified"), Names{"B::Go"});
+  EXPECT_EQ(Callees(graph, "A::Member"), Names{"A::Go"});  // Own class.
+  EXPECT_EQ(Callees(graph, "Free"), (Names{"A::Go", "B::Go"}));
+}
+
+TEST(CallGraphTest, ReceiverTypedByParameterResolvesToItsType) {
+  const std::vector<Source> sources = {Source(
+      "t.cc",
+      "void Pool::Run(int n) {}\n"
+      "void Pipeline::Run() {}\n"
+      "void Ptr(Pool* pool) { pool->Run(1); }\n"
+      "void Ref(const Pool& pool, int n = 2) { pool.Run(n); }\n"
+      "void Unindexed(Other* o) { o->Run(); }\n"
+      "void Local() { Pool* p = Get(); p->Run(3); }\n"
+      "void Pipeline::Step(Pool* pool) { pool->Run(4); Run(); }\n",
+      "tool")};
+  const CallGraph graph(sources);
+  EXPECT_EQ(Callees(graph, "Ptr"), Names{"Pool::Run"});
+  EXPECT_EQ(Callees(graph, "Ref"), Names{"Pool::Run"});
+  // No indexed Other::Run, or a receiver that is not a parameter: the
+  // last-component fallback still applies.
+  EXPECT_EQ(Callees(graph, "Unindexed"),
+            (Names{"Pool::Run", "Pipeline::Run"}));
+  EXPECT_EQ(Callees(graph, "Local"), (Names{"Pool::Run", "Pipeline::Run"}));
+  // The typed receiver beats the caller's own class; a bare call still
+  // prefers it.
+  EXPECT_EQ(Callees(graph, "Pipeline::Step"),
+            (Names{"Pool::Run", "Pipeline::Run"}));
+}
+
+TEST(CallGraphTest, HopNamesFileAndLine) {
+  const std::vector<Source> sources = {
+      Source("f.cc", "\nvoid Mix() {}\n", "tool")};
+  const CallGraph graph(sources);
+  EXPECT_EQ(graph.Hop(graph.Named("Mix").front()), "Mix (f.cc:2)");
+}
+
+// -------------------- Nondeterminism-source table -----------------------
+
+std::vector<const NondetSource*> Matches(const std::string& text) {
+  const Source src("t.cc", text, "tool");
+  std::vector<const NondetSource*> out;
+  MatchSources(src.code(), 0, src.code().size(), kNondetSources,
+               std::size(kNondetSources),
+               [&](const NondetSource& row, size_t) { out.push_back(&row); });
+  return out;
+}
+
+TEST(NondetSourcesTest, BuildStampsSeedFlowlintWallClock) {
+  const auto rows = Matches("const char* built = __DATE__ \" \" __TIME__;\n");
+  ASSERT_EQ(rows.size(), 2u);
+  for (const NondetSource* row : rows) {
+    EXPECT_STREQ(row->taint, "nondet:wall-clock");
+    EXPECT_STREQ(row->detlint_rule, "wall-clock");
+  }
+}
+
+TEST(NondetSourcesTest, EnvAndThreadCountAreFlowlintOnly) {
+  const auto rows = Matches(
+      "auto h = getenv(\"HOME\");\n"
+      "auto n = std::thread::hardware_concurrency();\n");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_STREQ(rows[0]->taint, "nondet:env");
+  EXPECT_STREQ(rows[1]->taint, "nondet:hw-threads");
+  EXPECT_EQ(rows[0]->detlint_rule, nullptr);
+  EXPECT_EQ(rows[1]->detlint_rule, nullptr);
+}
+
+TEST(NondetSourcesTest, CallRowsNeedAParenAndSkipMembers) {
+  // `obj.time()` is a method; `time` without '(' is a name; std::rand()
+  // is the libc call.
+  const auto rows = Matches("obj.time(); int time = 0; std::rand();\n");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_STREQ(rows[0]->token, "rand");
+}
+
+TEST(PointerKeyedContainersTest, FlagsPointerKeysOnly) {
+  const std::string code =
+      "std::map<Node*, int> a; std::set<int> b; "
+      "std::multiset<const T *> c; std::map<int, Node*> d;";
+  const std::vector<size_t> offsets =
+      PointerKeyedContainers(code, 0, code.size());
+  ASSERT_EQ(offsets.size(), 2u);
+  EXPECT_EQ(code.substr(offsets[0], 4), "map<");
+  EXPECT_EQ(code.substr(offsets[1], 9), "multiset<");
+}
+
 // --------------------------- Record extraction ---------------------------
 
 TEST(ExtractRecordsTest, FindsFieldsTypesAndDefaults) {
@@ -536,6 +656,50 @@ TEST(WriteReportTest, MatchesGoldenFixture) {
   EXPECT_EQ(ReadFile(path),
             ReadFile(std::string(LIBLINT_TESTDATA_DIR) +
                      "/golden_report.json"));
+  std::remove(path.c_str());
+}
+
+// ------------------------- Checked-in artifacts -------------------------
+
+const Artifact kSummaries{"summaries", "functions", "taints",
+                          "taint-summary-drift"};
+const Artifact kManifest{"manifest", "records", "fields",
+                         "field-manifest-drift"};
+
+// Both checked-in artifacts parse and re-format to their exact bytes.
+TEST(ArtifactTest, CheckedInFilesRoundTripByteForByte) {
+  for (const auto& [tool, artifact, file] :
+       {std::tuple{"flowlint", &kSummaries, "/flowlint/summaries.json"},
+        std::tuple{"codeclint", &kManifest, "/codeclint/fields.json"}}) {
+    const std::string text = ReadFile(std::string(LIBLINT_TOOLS_DIR) + file);
+    ArtifactMap map;
+    ASSERT_TRUE(ParseArtifact(text, *artifact, &map)) << file;
+    EXPECT_GT(map.size(), 10u) << file;
+    EXPECT_EQ(FormatArtifact(tool, *artifact, map), text) << file;
+  }
+}
+
+TEST(ArtifactTest, DeletedEntryIsExactlyOneDriftFinding) {
+  const ArtifactMap computed = {{"Block", {"header", "transactions"}},
+                                {"Receipt", {"amount", "fee"}}};
+  ArtifactMap recorded = computed;
+  recorded.erase("Receipt");
+  const std::string path = ::testing::TempDir() + "/liblint_fields.json";
+  {
+    std::ofstream out(path);
+    out << FormatArtifact("codeclint", kManifest, recorded);
+  }
+  std::vector<Finding> findings;
+  CheckArtifactDrift(path, kManifest, computed, &findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "field-manifest-drift");
+  EXPECT_EQ(findings[0].file, path);
+  EXPECT_FALSE(findings[0].suppressed);
+  EXPECT_NE(findings[0].snippet.find("\"Receipt\""), std::string::npos);
+
+  findings.clear();
+  CheckArtifactDrift(path, kManifest, recorded, &findings);
+  EXPECT_TRUE(findings.empty());
   std::remove(path.c_str());
 }
 

@@ -7,7 +7,7 @@
 // and nothing failed until a seed or a TSan run happened to hit it.
 // parlint turns it into machine-checked invariants.
 //
-// Like detlint, this is a heuristic token-level scanner built on the
+// Like detlint, this is a heuristic token-level pack built on the
 // shared liblint driver (tools/liblint/), not a compiler plugin. Rules
 // 2–5 are conservative approximations over lexical call extents (see
 // DESIGN.md §11 for why); intentional deviations carry inline
@@ -16,28 +16,30 @@
 //
 // waivers on the offending line or the line above.
 //
-// Usage:
-//   parlint [--report <file.json>] [--root <dir>] [--list-rules]
-//           [--rules-md] [--check-waivers] <dir-or-file>...
-//
-// Exit codes: 0 = clean, 1 = usage / IO error, 2 = unsuppressed
-// findings present.
+// Usage: shardlint parlint [flags] <dir-or-file>... (liblint::Main).
 
 #include <cctype>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "liblint/liblint.h"
+#include "packs.h"
 
 namespace {
 
 using liblint::EmitFinding;
+using liblint::FindIn;
 using liblint::Finding;
+using liblint::IdentAt;
+using liblint::IdentBefore;
 using liblint::IsIdentChar;
 using liblint::MatchBrace;
 using liblint::MatchParen;
+using liblint::ParallelCall;
+using liblint::PrevNonWs;
 using liblint::RuleInfo;
+using liblint::SkipWs;
 using liblint::Source;
 using liblint::TokenAt;
 
@@ -132,7 +134,7 @@ class Scanner {
       : src_(src), code_(src.code()), out_(out) {}
 
   void ScanFile() {
-    CollectParallelCalls();
+    calls_ = liblint::ParallelCalls(code_, 0, code_.size());
     ScanRawThreading();
     ScanRefCaptures();
     ScanParallelRng();
@@ -141,80 +143,8 @@ class Scanner {
   }
 
  private:
-  // A ParallelFor/ParallelReduce/ParallelChunks call site and the
-  // lexical extent of its argument list. The lambda body an invocation
-  // carries lives inside [open, close], which is what rules 2–5
-  // scan — a conservative approximation of "the parallel body".
-  struct Call {
-    size_t name_pos = 0;
-    size_t open = 0;   // '('.
-    size_t close = 0;  // Matching ')'.
-    bool is_for = false;
-  };
-
   void Emit(size_t offset, const char* rule) {
     EmitFinding(src_, offset, rule, out_);
-  }
-
-  // Reads the identifier starting at `pos` (empty if none).
-  std::string IdentAt(size_t pos) const {
-    size_t end = pos;
-    while (end < code_.size() && IsIdentChar(code_[end])) ++end;
-    return code_.substr(pos, end - pos);
-  }
-
-  // Reads the identifier ENDING at `end` (exclusive); empty if none.
-  std::string IdentEndingAt(size_t end) const {
-    size_t begin = end;
-    while (begin > 0 && IsIdentChar(code_[begin - 1])) --begin;
-    return code_.substr(begin, end - begin);
-  }
-
-  size_t SkipWs(size_t pos) const {
-    while (pos < code_.size() &&
-           std::isspace(static_cast<unsigned char>(code_[pos]))) {
-      ++pos;
-    }
-    return pos;
-  }
-
-  // Last non-whitespace position before `pos`, or npos.
-  size_t PrevNonWs(size_t pos) const {
-    while (pos > 0) {
-      --pos;
-      if (!std::isspace(static_cast<unsigned char>(code_[pos]))) return pos;
-    }
-    return std::string::npos;
-  }
-
-  void CollectParallelCalls() {
-    for (const char* fn : {"ParallelChunks", "ParallelFor", "ParallelReduce"}) {
-      const std::string name = fn;
-      size_t pos = 0;
-      while ((pos = code_.find(name, pos)) != std::string::npos) {
-        if (!TokenAt(code_, pos, name)) {
-          pos += name.size();
-          continue;
-        }
-        const size_t open = SkipWs(pos + name.size());
-        if (open >= code_.size() || code_[open] != '(') {
-          pos += name.size();
-          continue;
-        }
-        const size_t close = MatchParen(code_, open);
-        if (close == std::string::npos) {
-          pos += name.size();
-          continue;
-        }
-        Call call;
-        call.name_pos = pos;
-        call.open = open;
-        call.close = close;
-        call.is_for = name == "ParallelFor";
-        calls_.push_back(call);
-        pos += name.size();
-      }
-    }
   }
 
   // Rule 1: raw-threading — `std::` followed by a threading name, or a
@@ -224,7 +154,7 @@ class Scanner {
     if (src_.path().find(kParallelDir) != std::string::npos) return;
     size_t pos = 0;
     while ((pos = code_.find("std::", pos)) != std::string::npos) {
-      const std::string ident = IdentAt(pos + 5);
+      const std::string ident = IdentAt(code_, pos + 5);
       if (!ident.empty() && ThreadingNames().count(ident) > 0) {
         Emit(pos, "raw-threading");
       }
@@ -242,12 +172,12 @@ class Scanner {
   // Rule 2: parallel-ref-capture — `[&]` / `[&, ...]` anywhere inside a
   // parallel call's argument list.
   void ScanRefCaptures() {
-    for (const Call& call : calls_) {
+    for (const ParallelCall& call : calls_) {
       for (size_t i = call.open + 1; i < call.close; ++i) {
         if (code_[i] != '[') continue;
-        size_t j = SkipWs(i + 1);
+        size_t j = SkipWs(code_, i + 1);
         if (j >= call.close || code_[j] != '&') continue;
-        j = SkipWs(j + 1);
+        j = SkipWs(code_, j + 1);
         if (j < code_.size() && (code_[j] == ']' || code_[j] == ',')) {
           Emit(i, "parallel-ref-capture");
         }
@@ -259,24 +189,24 @@ class Scanner {
   // parallel call extent whose constructor arguments never mention
   // ChunkSeed.
   void ScanParallelRng() {
-    for (const Call& call : calls_) {
+    for (const ParallelCall& call : calls_) {
       for (const std::string& type : RngTypeNames()) {
         size_t pos = call.open;
-        while ((pos = code_.find(type, pos)) != std::string::npos &&
-               pos < call.close) {
+        while ((pos = FindIn(code_, type, pos, call.close)) !=
+               std::string::npos) {
           if (!TokenAt(code_, pos, type)) {
             pos += type.size();
             continue;
           }
-          size_t after = SkipWs(pos + type.size());
+          size_t after = SkipWs(code_, pos + type.size());
           // `Rng name(args)`, `Rng name{args}`, `Rng name;`,
           // `Rng name = expr;`, or a bare temporary `Rng(args)`.
           std::string seed_expr;
           bool is_construction = false;
           if (after < call.close && IsIdentChar(code_[after]) &&
               !std::isdigit(static_cast<unsigned char>(code_[after]))) {
-            const std::string name = IdentAt(after);
-            size_t next = SkipWs(after + name.size());
+            const std::string name = IdentAt(code_, after);
+            size_t next = SkipWs(code_, after + name.size());
             if (next < call.close &&
                 (code_[next] == '(' || code_[next] == '{')) {
               const size_t end = code_[next] == '('
@@ -321,21 +251,21 @@ class Scanner {
   bool LocallyDeclared(const std::string& name, size_t begin,
                        size_t end) const {
     size_t pos = begin;
-    while ((pos = code_.find(name, pos)) != std::string::npos && pos < end) {
+    while ((pos = FindIn(code_, name, pos, end)) != std::string::npos) {
       if (!TokenAt(code_, pos, name)) {
         pos += name.size();
         continue;
       }
-      const size_t prev = PrevNonWs(pos);
+      const size_t prev = PrevNonWs(code_, pos);
       if (prev == std::string::npos) return false;
       const char c = code_[prev];
       if (IsIdentChar(c)) {
-        const std::string before = IdentEndingAt(prev + 1);
+        const std::string before = IdentBefore(code_, prev + 1);
         static const std::set<std::string> kNotTypes = {
             "return", "throw", "new", "delete", "goto", "case", "co_return"};
         if (kNotTypes.count(before) == 0) return true;
       } else if (c == '&' || c == '*' || c == '>') {
-        const size_t prev2 = PrevNonWs(prev);
+        const size_t prev2 = PrevNonWs(code_, prev);
         if (prev2 != std::string::npos &&
             (IsIdentChar(code_[prev2]) || code_[prev2] == '>')) {
           return true;  // `SubslotPartial& p`, `vector<T>* v`, `T> x`.
@@ -359,7 +289,7 @@ class Scanner {
       if (IsIdentChar(code_[i]) &&
           (i == 0 || !IsIdentChar(code_[i - 1])) &&
           !std::isdigit(static_cast<unsigned char>(code_[i]))) {
-        const std::string ident = IdentAt(i);
+        const std::string ident = IdentAt(code_, i);
         if (!IsKeyword(ident)) return ident;
         i += ident.size();
       }
@@ -370,7 +300,7 @@ class Scanner {
   // Rule 4: shared-accumulation — `+=` / push_back / emplace_back on a
   // captured (not locally declared) target inside a ParallelFor body.
   void ScanSharedAccumulation() {
-    for (const Call& call : calls_) {
+    for (const ParallelCall& call : calls_) {
       if (!call.is_for) continue;
       // `+=` sites.
       for (size_t i = call.open + 1; i + 1 < call.close; ++i) {
@@ -386,13 +316,13 @@ class Scanner {
       for (const char* member : {"push_back", "emplace_back"}) {
         const std::string name = member;
         size_t pos = call.open;
-        while ((pos = code_.find(name, pos)) != std::string::npos &&
-               pos < call.close) {
+        while ((pos = FindIn(code_, name, pos, call.close)) !=
+               std::string::npos) {
           if (!TokenAt(code_, pos, name)) {
             pos += name.size();
             continue;
           }
-          const size_t prev = PrevNonWs(pos);
+          const size_t prev = PrevNonWs(code_, pos);
           const bool member_call =
               prev != std::string::npos &&
               (code_[prev] == '.' ||
@@ -413,8 +343,8 @@ class Scanner {
   // Rule 5: nested-parallel — a parallel call whose name sits inside
   // another parallel call's argument extent.
   void ScanNestedParallel() {
-    for (const Call& inner : calls_) {
-      for (const Call& outer : calls_) {
+    for (const ParallelCall& inner : calls_) {
+      for (const ParallelCall& outer : calls_) {
         if (inner.name_pos > outer.open && inner.name_pos < outer.close) {
           Emit(inner.name_pos, "nested-parallel");
           break;
@@ -426,20 +356,22 @@ class Scanner {
   const Source& src_;
   const std::string& code_;
   std::vector<Finding>* out_;
-  std::vector<Call> calls_;
+  // The lexical extents rules 2–5 scan: a conservative approximation
+  // of "the parallel body".
+  std::vector<ParallelCall> calls_;
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
+liblint::Tool ParlintPack() {
   liblint::Tool tool;
   tool.name = "parlint";
   tool.tagline = "the §9 parallel-determinism contract";
   tool.rules = kRules;
-  tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
+  tool.rule_count = std::size(kRules);
   tool.scan = [](const Source& src, std::vector<Finding>* out) {
     Scanner scanner(src, out);
     scanner.ScanFile();
   };
-  return liblint::RunLinter(tool, argc, argv);
+  return tool;
 }
